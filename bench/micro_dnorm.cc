@@ -1,6 +1,7 @@
 // Microbenchmarks of the MBR distance metrics (Dmbr, Dnorm) and the full
 // three-phase search. Supports `--json` (see json_main.h); the
-// Reference/PrefixSum pairs feed tools/run_benchmarks.sh.
+// Reference/PrefixSum and PerJWindows/DistinctWindows pairs feed
+// tools/run_benchmarks.sh.
 
 #include <benchmark/benchmark.h>
 
@@ -106,8 +107,8 @@ BENCHMARK(BM_DnormManyMbrs_Reference)->Arg(64)->Arg(256);
 void BM_DnormManyMbrs_PrefixSum(benchmark::State& state) {
   const ManyMbrFixture fixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    const DnormContext context =
-        MakeDnormContext(fixture.target, fixture.dmbr);
+    DnormContext context;
+    MakeDnormContext(fixture.target, fixture.dmbr, &context);
     double best = 1e18;
     for (size_t j = 0; j < fixture.target.size(); ++j) {
       best = std::min(
@@ -118,6 +119,45 @@ void BM_DnormManyMbrs_PrefixSum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DnormManyMbrs_PrefixSum)->Arg(64)->Arg(256);
+
+// Per-j vs distinct-window enumeration of every qualifying window of one
+// probe (what Phase 3 needs per probe): the per-j form visits a window once
+// for every j it fully counts, the distinct sweep once in total. Both
+// include building the prefix-sum context.
+constexpr double kManyMbrEpsilon = 0.3;
+
+void BM_DnormManyMbrs_PerJWindows(benchmark::State& state) {
+  const ManyMbrFixture fixture(static_cast<size_t>(state.range(0)));
+  DnormContext context;
+  std::vector<NormalizedDistanceResult> windows;
+  for (auto _ : state) {
+    MakeDnormContext(fixture.target, fixture.dmbr, &context);
+    windows.clear();
+    double best = 1e18;
+    for (size_t j = 0; j < fixture.target.size(); ++j) {
+      best = std::min(best, QualifyingDnormWindows(fixture.probe_count,
+                                                   context, j,
+                                                   kManyMbrEpsilon, &windows));
+    }
+    benchmark::DoNotOptimize(best);
+    benchmark::DoNotOptimize(windows.data());
+  }
+}
+BENCHMARK(BM_DnormManyMbrs_PerJWindows)->Arg(64)->Arg(256);
+
+void BM_DnormManyMbrs_DistinctWindows(benchmark::State& state) {
+  const ManyMbrFixture fixture(static_cast<size_t>(state.range(0)));
+  DnormContext context;
+  std::vector<NormalizedDistanceResult> windows;
+  for (auto _ : state) {
+    MakeDnormContext(fixture.target, fixture.dmbr, &context);
+    windows.clear();
+    benchmark::DoNotOptimize(DistinctQualifyingWindows(
+        fixture.probe_count, context, kManyMbrEpsilon, &windows));
+    benchmark::DoNotOptimize(windows.data());
+  }
+}
+BENCHMARK(BM_DnormManyMbrs_DistinctWindows)->Arg(64)->Arg(256);
 
 // Scalar vs dispatched prefilter kernel (batched centroid squared
 // distances over a dim-major SoA layout, as PrefilterProbe issues it):

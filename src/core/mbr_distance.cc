@@ -19,43 +19,39 @@ std::vector<double> ComputeMbrDistances(const Mbr& probe,
   return dmbr;
 }
 
-PartitionLayout MakePartitionLayout(const Partition& target) {
-  PartitionLayout layout;
-  layout.n = target.size();
-  if (target.empty()) return layout;
-  const size_t n = layout.n;
-  const size_t dim = target.front().mbr.dim();
-  layout.dim = dim;
-  layout.low.resize(n * dim);
-  layout.high.resize(n * dim);
-  layout.center.resize(n * dim);
-  layout.radius.resize(n);
+void MakePartitionLayout(const Partition& target, PartitionLayout* layout) {
+  const size_t n = target.size();
+  const size_t dim = n == 0 ? 0 : target.front().mbr.dim();
+  layout->n = n;
+  layout->dim = dim;
+  layout->low.resize(n * dim);
+  layout->high.resize(n * dim);
+  layout->center.resize(n * dim);
+  layout->radius.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const Mbr& mbr = target[i].mbr;
     double diag2 = 0.0;
     for (size_t k = 0; k < dim; ++k) {
       const double lo = mbr.low()[k];
       const double hi = mbr.high()[k];
-      layout.low[k * n + i] = lo;
-      layout.high[k * n + i] = hi;
-      layout.center[k * n + i] = 0.5 * (lo + hi);
+      layout->low[k * n + i] = lo;
+      layout->high[k * n + i] = hi;
+      layout->center[k * n + i] = 0.5 * (lo + hi);
       const double side = hi - lo;
       diag2 += side * side;
     }
-    layout.radius[i] = 0.5 * std::sqrt(diag2);
+    layout->radius[i] = 0.5 * std::sqrt(diag2);
   }
-  return layout;
 }
 
-std::vector<double> ComputeMbrDistances(const Mbr& probe,
-                                        const PartitionLayout& layout) {
-  std::vector<double> dmbr(layout.n);
-  if (layout.n == 0) return dmbr;
+void ComputeMbrDistances(const Mbr& probe, const PartitionLayout& layout,
+                         std::vector<double>* dmbr) {
+  dmbr->resize(layout.n);
+  if (layout.n == 0) return;
   simd::MinDist2Batch(probe.low().data(), probe.high().data(),
                       layout.low.data(), layout.high.data(), layout.n,
-                      layout.dim, dmbr.data());
-  for (double& d : dmbr) d = std::sqrt(d);
-  return dmbr;
+                      layout.dim, dmbr->data());
+  for (double& d : *dmbr) d = std::sqrt(d);
 }
 
 double MbrCenterAndRadius(const Mbr& mbr, double* center) {
@@ -92,29 +88,28 @@ bool PrefilterProbe(const double* probe_center, double probe_radius,
   return false;
 }
 
-DnormContext MakeDnormContext(const Partition& target,
-                              const std::vector<double>& dmbr) {
+void MakeDnormContext(const Partition& target, const std::vector<double>& dmbr,
+                      DnormContext* context) {
   MDSEQ_CHECK(!target.empty());
   MDSEQ_CHECK(dmbr.size() == target.size());
-  DnormContext context;
-  context.target = &target;
-  context.dmbr = &dmbr;
+  context->target = &target;
+  context->dmbr = &dmbr;
   const size_t m = target.size();
-  context.prefix_weighted.resize(m + 1);
-  context.prefix_count.resize(m + 1);
-  context.prefix_weighted[0] = 0.0;
-  context.prefix_count[0] = 0;
+  std::vector<double>& weighted = context->prefix_weighted;
+  std::vector<size_t>& count = context->prefix_count;
+  weighted.resize(m + 1);
+  count.resize(m + 1);
+  weighted[0] = 0.0;
+  count[0] = 0;
   double min_dmbr = std::numeric_limits<double>::infinity();
   for (size_t t = 0; t < m; ++t) {
-    const size_t count = target[t].count();
-    context.prefix_weighted[t + 1] =
-        context.prefix_weighted[t] + dmbr[t] * static_cast<double>(count);
-    context.prefix_count[t + 1] = context.prefix_count[t] + count;
+    const size_t points = target[t].count();
+    weighted[t + 1] = weighted[t] + dmbr[t] * static_cast<double>(points);
+    count[t + 1] = count[t] + points;
     min_dmbr = std::min(min_dmbr, dmbr[t]);
   }
-  context.total_points = context.prefix_count[m];
-  context.min_dmbr = min_dmbr;
-  return context;
+  context->total_points = count[m];
+  context->min_dmbr = min_dmbr;
 }
 
 namespace {
@@ -270,6 +265,68 @@ void VisitDnormWindowsFast(size_t probe_count, const DnormContext& context,
   }
 }
 
+// Every window the per-`j` enumeration above produces for some `j`, once
+// each and with the same value expression. Case 3 maps every `j` to the
+// whole sequence; Case 1 is `target[j]` alone. The LD window of start `k`
+// (boundary `l(k)`, the smallest `l` with `pc[l+1] - pc[k] >= probe_count`)
+// is emitted for every `j` in `[k, l(k))`, so it exists iff `l(k) > k`;
+// the RD window of end `q` (boundary `p(q)`, the largest `p` with
+// `pc[q+1] - pc[p] >= probe_count`) for every `j` in `(p(q), q]`. Both
+// boundaries are non-decreasing, so one forward sweep finds each family.
+template <typename Visitor>
+void VisitDistinctDnormWindows(size_t probe_count,
+                               const DnormContext& context,
+                               const Visitor& visit) {
+  const Partition& target = *context.target;
+  const std::vector<double>& dmbr = *context.dmbr;
+  MDSEQ_CHECK(probe_count >= 1);
+
+  const double probe_points = static_cast<double>(probe_count);
+  const size_t m = target.size();
+  const std::vector<size_t>& pc = context.prefix_count;
+  const std::vector<double>& pw = context.prefix_weighted;
+
+  if (context.total_points < probe_count) {
+    visit(pw[m] / static_cast<double>(context.total_points),
+          target.front().begin, target.back().end);
+    return;
+  }
+
+  for (size_t j = 0; j < m; ++j) {
+    if (target[j].count() >= probe_count) {
+      visit(dmbr[j], target[j].begin, target[j].end);
+    }
+  }
+
+  {
+    size_t l = 0;
+    for (size_t k = 0; k < m; ++k) {
+      if (pc[m] - pc[k] < probe_count) break;  // tail too short from here on
+      l = std::max(l, k);
+      while (pc[l + 1] - pc[k] < probe_count) ++l;
+      if (l == k) continue;  // target[k] alone suffices: Case 1
+      const size_t partial = probe_count - (pc[l] - pc[k]);
+      const double weighted =
+          (pw[l] - pw[k]) + dmbr[l] * static_cast<double>(partial);
+      visit(weighted / probe_points, target[k].begin,
+            target[l].begin + partial);
+    }
+  }
+
+  {
+    size_t p = 0;
+    for (size_t q = 0; q < m; ++q) {
+      if (pc[q + 1] < probe_count) continue;  // head too short
+      while (pc[q + 1] - pc[p + 1] >= probe_count) ++p;
+      if (p == q) continue;  // target[q] alone suffices: Case 1
+      const size_t partial = probe_count - (pc[q + 1] - pc[p + 1]);
+      const double weighted =
+          (pw[q + 1] - pw[p + 1]) + dmbr[p] * static_cast<double>(partial);
+      visit(weighted / probe_points, target[p].end - partial, target[q].end);
+    }
+  }
+}
+
 template <typename Visitor>
 NormalizedDistanceResult MinimumWindow(const Visitor& enumerate) {
   NormalizedDistanceResult best;
@@ -314,7 +371,8 @@ NormalizedDistanceResult NormalizedDistance(size_t probe_count,
 NormalizedDistanceResult NormalizedDistance(size_t probe_count,
                                             const Partition& target, size_t j,
                                             const std::vector<double>& dmbr) {
-  const DnormContext context = MakeDnormContext(target, dmbr);
+  DnormContext context;
+  MakeDnormContext(target, dmbr, &context);
   return NormalizedDistance(probe_count, context, j);
 }
 
@@ -330,8 +388,17 @@ double QualifyingDnormWindows(size_t probe_count, const Partition& target,
                               size_t j, const std::vector<double>& dmbr,
                               double epsilon,
                               std::vector<NormalizedDistanceResult>* out) {
-  const DnormContext context = MakeDnormContext(target, dmbr);
+  DnormContext context;
+  MakeDnormContext(target, dmbr, &context);
   return QualifyingDnormWindows(probe_count, context, j, epsilon, out);
+}
+
+double DistinctQualifyingWindows(size_t probe_count,
+                                 const DnormContext& context, double epsilon,
+                                 std::vector<NormalizedDistanceResult>* out) {
+  return CollectQualifyingWindows(epsilon, out, [&](const auto& visit) {
+    VisitDistinctDnormWindows(probe_count, context, visit);
+  });
 }
 
 NormalizedDistanceResult ReferenceNormalizedDistance(
@@ -354,13 +421,11 @@ double ReferenceQualifyingDnormWindows(
 double MinNormalizedDistance(const Mbr& probe, size_t probe_count,
                              const Partition& target) {
   const std::vector<double> dmbr = ComputeMbrDistances(probe, target);
-  const DnormContext context = MakeDnormContext(target, dmbr);
-  double best = std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < target.size(); ++j) {
-    best = std::min(best,
-                    NormalizedDistance(probe_count, context, j).distance);
-  }
-  return best;
+  DnormContext context;
+  MakeDnormContext(target, dmbr, &context);
+  return MinimumWindow([&](const auto& visit) {
+           VisitDistinctDnormWindows(probe_count, context, visit);
+         }).distance;
 }
 
 double MinMbrDistance(const Partition& a, const Partition& b) {

@@ -33,7 +33,7 @@ std::vector<double> ComputeMbrDistances(const Mbr& probe,
 /// `i` lives at `[k * n + i]` (the `util/simd.h` layout contract), so the
 /// batched kernels stream one coordinate of adjacent MBRs per instruction.
 ///
-/// Built once per (candidate, query) pair and reused by every probe; the
+/// Filled once per (candidate, query) pair and reused by every probe; the
 /// source partition may be discarded afterwards (the layout owns copies).
 struct PartitionLayout {
   size_t n = 0;    ///< number of MBRs
@@ -48,15 +48,16 @@ struct PartitionLayout {
   std::vector<double> radius;
 };
 
-/// Gathers `target` into SoA form. O(m * dim).
-PartitionLayout MakePartitionLayout(const Partition& target);
+/// Gathers `target` into SoA form in `layout`, reusing its buffers.
+/// O(m * dim).
+void MakePartitionLayout(const Partition& target, PartitionLayout* layout);
 
-/// SIMD `ComputeMbrDistances`: identical output (bit-for-bit — the batched
-/// rectangle kernel matches `Mbr::MinDist2` per pair and `sqrt` is
-/// correctly rounded), computed in one pass over the layout's contiguous
-/// lo/hi arrays. `layout` must be `MakePartitionLayout(target)`.
-std::vector<double> ComputeMbrDistances(const Mbr& probe,
-                                        const PartitionLayout& layout);
+/// SIMD `ComputeMbrDistances` into `dmbr` (buffer reused): bit-identical
+/// output (the batched rectangle kernel matches `Mbr::MinDist2` per pair
+/// and `sqrt` is correctly rounded), in one pass over the layout's lo/hi
+/// arrays. `layout` must be `MakePartitionLayout` of the target.
+void ComputeMbrDistances(const Mbr& probe, const PartitionLayout& layout,
+                         std::vector<double>* dmbr);
 
 /// The cascade's O(1)-per-pair prefilter: from centroid/radius summaries
 /// alone, `||c_probe - c_i|| - r_probe - r_i` lower-bounds
@@ -105,10 +106,11 @@ struct DnormContext {
   double min_dmbr = std::numeric_limits<double>::infinity();
 };
 
-/// Builds the prefix-sum context for one probe. O(m). `dmbr` must be
-/// `ComputeMbrDistances(probe, target)`; both must outlive the context.
-DnormContext MakeDnormContext(const Partition& target,
-                              const std::vector<double>& dmbr);
+/// Fills `context` with the prefix sums of one probe, reusing its buffers.
+/// O(m). `dmbr` must be `ComputeMbrDistances(probe, target)`; both must
+/// outlive the context.
+void MakeDnormContext(const Partition& target, const std::vector<double>& dmbr,
+                      DnormContext* context);
 
 /// The paper's normalized distance `Dnorm` (Definition 5) between a probe
 /// MBR holding `probe_count` points (a query MBR in the usual direction) and
@@ -155,10 +157,22 @@ double QualifyingDnormWindows(size_t probe_count, const Partition& target,
                               std::vector<NormalizedDistanceResult>* out);
 
 /// Context-based variant of `QualifyingDnormWindows` (see
-/// `NormalizedDistance` overloads for the cost argument).
+/// `NormalizedDistance` overloads for the cost argument). Phase 3 runs
+/// `DistinctQualifyingWindows` below; this per-`j` form is its
+/// differential-test reference.
 double QualifyingDnormWindows(size_t probe_count, const DnormContext& context,
                               size_t j, double epsilon,
                               std::vector<NormalizedDistanceResult>* out);
+
+/// All target MBRs of one probe at once, in O(m): returns
+/// `min_j Dnorm(probe, j)` and appends each *distinct* Definition-5 window
+/// within `epsilon` once (in unspecified order), where the per-`j` form
+/// repeats a window for every `j` it fully counts. Window values are the
+/// per-`j` form's expressions, so the minimum is bit-identical and the span
+/// union equal to those of `QualifyingDnormWindows` over all `j`.
+double DistinctQualifyingWindows(size_t probe_count,
+                                 const DnormContext& context, double epsilon,
+                                 std::vector<NormalizedDistanceResult>* out);
 
 /// Reference implementations of the two queries above: the naive
 /// re-accumulating window enumeration (O(window length) per window). Kept

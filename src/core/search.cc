@@ -24,47 +24,14 @@ uint64_t ElapsedNs(SteadyClock::time_point start) {
           .count());
 }
 
-// Phase-2 output: deduplicated candidate ids (ascending) plus, aligned with
-// them, the minimum squared Dmbr any (query MBR, hit MBR) pair achieved —
-// the key Phase 3 uses to process the most promising candidates first.
-struct FirstPruningResult {
-  std::vector<size_t> candidates;
-  std::vector<double> min_dist2;
-};
-
-// Turns per-probe batch hits into the deduplicated candidate list with
-// per-candidate minimum squared Dmbr. Shared by the in-memory and disk
-// Phase-2 paths.
-FirstPruningResult AggregateCandidates(
-    const std::vector<std::vector<SpatialIndex::BatchHit>>& hits) {
-  std::vector<std::pair<size_t, double>> scored;
-  for (const auto& per_query : hits) {
-    for (const SpatialIndex::BatchHit& hit : per_query) {
-      scored.emplace_back(SequenceDatabase::UnpackSequenceId(hit.value),
-                          hit.dist2);
-    }
-  }
-  std::sort(scored.begin(), scored.end());
-  FirstPruningResult result;
-  for (const auto& [id, dist2] : scored) {
-    if (!result.candidates.empty() && result.candidates.back() == id) {
-      result.min_dist2.back() = std::min(result.min_dist2.back(), dist2);
-    } else {
-      result.candidates.push_back(id);
-      result.min_dist2.push_back(dist2);
-    }
-  }
-  return result;
-}
-
 // Phase 2 against any spatial index: one batched descent for all query
 // MBRs (each index node is visited once per query *batch*, not once per
 // query MBR). Shared by `Search` (which already holds the partition) and
 // the public `SearchCandidates`.
-FirstPruningResult FirstPruning(const SpatialIndex& index,
-                                const Partition& query_partition,
-                                double epsilon, SearchStats* stats,
-                                obs::Trace* trace) {
+internal::CandidateSet FirstPruning(const SpatialIndex& index,
+                                    const Partition& query_partition,
+                                    double epsilon, SearchStats* stats,
+                                    obs::Trace* trace) {
   obs::SpanScope phase_span(trace, "first_pruning");
   const auto start = SteadyClock::now();
   std::vector<Mbr> queries;
@@ -83,31 +50,13 @@ FirstPruningResult FirstPruning(const SpatialIndex& index,
     search_span.Arg("node_visits", accesses);
     search_span.Arg("hits", hit_count);
   }
-  FirstPruningResult result = AggregateCandidates(hits);
-  if (stats != nullptr) {
-    stats->node_accesses += accesses;
-    stats->phase2_candidates = result.candidates.size();
-    stats->first_pruning_ns += ElapsedNs(start);
-  }
+  internal::CandidateSet result = internal::AggregateCandidates(hits);
+  stats->node_accesses += accesses;
+  stats->phase2_candidates = result.ids.size();
+  stats->first_pruning_ns += ElapsedNs(start);
   phase_span.Arg("node_accesses", accesses);
-  phase_span.Arg("candidates", result.candidates.size());
+  phase_span.Arg("candidates", result.ids.size());
   return result;
-}
-
-// Candidate processing order for Phase 3: ascending minimum Dmbr (ties by
-// id, so the order — and every downstream counter — is deterministic). An
-// interrupted query then spent its budget on the most promising
-// candidates.
-std::vector<size_t> CandidateOrder(const FirstPruningResult& pruned) {
-  std::vector<size_t> order(pruned.candidates.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&pruned](size_t a, size_t b) {
-    if (pruned.min_dist2[a] != pruned.min_dist2[b]) {
-      return pruned.min_dist2[a] < pruned.min_dist2[b];
-    }
-    return pruned.candidates[a] < pruned.candidates[b];
-  });
-  return order;
 }
 
 bool MatchIdLess(const SequenceMatch& a, const SequenceMatch& b) {
@@ -122,17 +71,16 @@ void MergeIntervals(std::vector<Interval>* intervals) {
             [](const Interval& a, const Interval& b) {
               return a.begin < b.begin || (a.begin == b.begin && a.end < b.end);
             });
-  std::vector<Interval> merged;
-  merged.push_back(intervals->front());
-  for (size_t i = 1; i < intervals->size(); ++i) {
-    const Interval& next = (*intervals)[i];
-    if (next.begin <= merged.back().end) {
-      merged.back().end = std::max(merged.back().end, next.end);
+  // Coalesce in place: `*last` is the open merged run.
+  auto last = intervals->begin();
+  for (auto next = last + 1; next != intervals->end(); ++next) {
+    if (next->begin <= last->end) {
+      last->end = std::max(last->end, next->end);
     } else {
-      merged.push_back(next);
+      *++last = *next;
     }
   }
-  *intervals = std::move(merged);
+  intervals->erase(last + 1, intervals->end());
 }
 
 size_t CoveredPoints(const std::vector<Interval>& intervals) {
@@ -185,14 +133,11 @@ std::vector<size_t> SimilaritySearch::SearchCandidates(
   MDSEQ_CHECK(query.dim() == database_->dim());
   MDSEQ_CHECK(epsilon >= 0.0);
 
+  SearchStats unused;
+  if (stats == nullptr) stats = &unused;
   // Phase 1: partition the query with the database's partitioning options.
-  const auto partition_start = SteadyClock::now();
-  const Partition query_partition = PartitionSequence(
-      query, database_->options().partitioning);
-  if (stats != nullptr) {
-    stats->partition_ns += ElapsedNs(partition_start);
-    stats->query_mbrs = query_partition.size();
-  }
+  const Partition query_partition = internal::PartitionQuery(
+      query, database_->options().partitioning, SearchControl(), stats);
 
   // Phase 2: one batched index descent for all query MBRs; a sequence is a
   // candidate as soon as one of its MBRs lies within Dmbr <= epsilon of one
@@ -201,17 +146,55 @@ std::vector<size_t> SimilaritySearch::SearchCandidates(
   // queries stay exact.
   return FirstPruning(database_->index(), query_partition, epsilon, stats,
                       nullptr)
-      .candidates;
+      .ids;
 }
 
 namespace internal {
 
+CandidateSet AggregateCandidates(
+    const std::vector<std::vector<SpatialIndex::BatchHit>>& hits) {
+  size_t slots = 0;
+  for (const auto& per_query : hits) {
+    for (const SpatialIndex::BatchHit& hit : per_query) {
+      slots = std::max(slots,
+                       SequenceDatabase::UnpackSequenceId(hit.value) + 1);
+    }
+  }
+  // NaN marks an id without hits; `!(best <= dist2)` also admits the first.
+  std::vector<double> best(slots, std::numeric_limits<double>::quiet_NaN());
+  for (const auto& per_query : hits) {
+    for (const SpatialIndex::BatchHit& hit : per_query) {
+      double& slot = best[SequenceDatabase::UnpackSequenceId(hit.value)];
+      if (!(slot <= hit.dist2)) slot = hit.dist2;
+    }
+  }
+  CandidateSet result;
+  for (size_t id = 0; id < slots; ++id) {
+    if (std::isnan(best[id])) continue;
+    result.ids.push_back(id);
+    result.min_dist2.push_back(best[id]);
+  }
+  return result;
+}
+
+std::vector<size_t> CandidateOrder(const CandidateSet& candidates) {
+  std::vector<size_t> order(candidates.ids.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&candidates](size_t a, size_t b) {
+    if (candidates.min_dist2[a] != candidates.min_dist2[b]) {
+      return candidates.min_dist2[a] < candidates.min_dist2[b];
+    }
+    return candidates.ids[a] < candidates.ids[b];
+  });
+  return order;
+}
+
 bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
                     const Partition& data_partition, size_t data_length,
                     double epsilon, const SearchOptions& options,
-                    SequenceMatch* match, SearchStats* stats,
-                    obs::Trace* trace) {
-  MDSEQ_CHECK(match != nullptr && stats != nullptr);
+                    Phase3Scratch* scratch, SequenceMatch* match,
+                    SearchStats* stats, obs::Trace* trace) {
+  MDSEQ_CHECK(scratch != nullptr && match != nullptr && stats != nullptr);
   match->min_dnorm = std::numeric_limits<double>::infinity();
   match->solution_interval.clear();
   bool qualified = false;
@@ -225,7 +208,8 @@ bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
 
   // SoA mirror of the target MBRs: one gather serves the prefilter, every
   // probe's batched Dmbr pass, and their centroid/radius summaries.
-  const PartitionLayout layout = MakePartitionLayout(targets);
+  MakePartitionLayout(targets, &scratch->layout);
+  const PartitionLayout& layout = scratch->layout;
 
   // Cascade stage "prefilter": the O(1)-per-pair centroid/radius lower
   // bound drops probes that provably satisfy min Dmbr > epsilon before the
@@ -233,16 +217,17 @@ bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
   // probe's exact minimum); when disabled every probe passes through, so
   // the stage reads as a no-op rather than a wall.
   const bool use_prefilter = options.prefilter && !options.composite_bound;
-  std::vector<uint8_t> probe_skipped;
+  std::vector<uint8_t>& probe_skipped = scratch->probe_skipped;
   size_t surviving_probes = probes.size();
   if (use_prefilter) {
     const auto prefilter_start = SteadyClock::now();
     probe_skipped.assign(probes.size(), 0);
-    std::vector<double> center(layout.dim);
-    std::vector<double> scratch;
+    scratch->probe_center.resize(layout.dim);
+    double* center = scratch->probe_center.data();
     for (size_t p = 0; p < probes.size(); ++p) {
-      const double radius = MbrCenterAndRadius(probes[p].mbr, center.data());
-      if (!PrefilterProbe(center.data(), radius, layout, epsilon, &scratch)) {
+      const double radius = MbrCenterAndRadius(probes[p].mbr, center);
+      if (!PrefilterProbe(center, radius, layout, epsilon,
+                          &scratch->prefilter_dist2)) {
         probe_skipped[p] = 1;
         --surviving_probes;
         ++stats->prefilter_abandons;
@@ -257,7 +242,10 @@ bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
   double composite_weighted = 0.0;
   size_t composite_points = 0;
 
-  std::vector<NormalizedDistanceResult> windows;
+  const DnormContext& context = scratch->context;
+  std::vector<NormalizedDistanceResult>& windows = scratch->windows;
+  std::vector<Interval>& spans = scratch->spans;
+  spans.clear();
   for (size_t probe_index = 0; probe_index < probes.size(); ++probe_index) {
     const SequenceMbr& probe = probes[probe_index];
     if (use_prefilter && probe_skipped[probe_index] != 0) {
@@ -267,8 +255,8 @@ bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
       // probe.
       continue;
     }
-    const std::vector<double> dmbr = ComputeMbrDistances(probe.mbr, layout);
-    const DnormContext context = MakeDnormContext(targets, dmbr);
+    ComputeMbrDistances(probe.mbr, layout, &scratch->dmbr);
+    MakeDnormContext(targets, scratch->dmbr, &scratch->context);
     if (!options.composite_bound && context.min_dmbr > epsilon) {
       // Probe-level early abandon: every Dnorm window is a weighted
       // average of Dmbr values, so this probe has no qualifying window,
@@ -279,23 +267,17 @@ bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
       ++stats->probe_abandons;
       continue;
     }
-    double probe_min = std::numeric_limits<double>::infinity();
-    for (size_t j = 0; j < targets.size(); ++j) {
-      ++stats->dnorm_evaluations;
-      windows.clear();
-      const double dnorm = QualifyingDnormWindows(
-          probe.count(), context, j, epsilon, &windows);
-      probe_min = std::min(probe_min, dnorm);
-      if (!windows.empty()) {
-        qualified = true;
-        if (swapped) {
-          match->solution_interval.push_back(
-              Interval{probe.begin, probe.end});
-        } else {
-          for (const NormalizedDistanceResult& w : windows) {
-            match->solution_interval.push_back(
-                Interval{w.point_begin, w.point_end});
-          }
+    stats->dnorm_evaluations += targets.size();
+    windows.clear();
+    const double probe_min =
+        DistinctQualifyingWindows(probe.count(), context, epsilon, &windows);
+    if (!windows.empty()) {
+      qualified = true;
+      if (swapped) {
+        spans.push_back(Interval{probe.begin, probe.end});
+      } else {
+        for (const NormalizedDistanceResult& w : windows) {
+          spans.push_back(Interval{w.point_begin, w.point_end});
         }
       }
     }
@@ -315,11 +297,93 @@ bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
   if (qualified) {
     obs::SpanScope assembly_span(trace, "assemble_intervals");
     const auto assembly_start = SteadyClock::now();
-    MergeIntervals(&match->solution_interval);
+    MergeIntervals(&spans);
+    match->solution_interval.assign(spans.begin(), spans.end());
     stats->interval_assembly_ns += ElapsedNs(assembly_start);
     assembly_span.Arg("intervals", match->solution_interval.size());
   }
   return qualified;
+}
+
+Partition PartitionQuery(SequenceView query,
+                         const PartitioningOptions& options,
+                         const SearchControl& control, SearchStats* stats) {
+  control.SetPhase(SearchPhase::kPartition);
+  obs::SpanScope span(control.trace, "partition");
+  const auto start = SteadyClock::now();
+  Partition partition = PartitionSequence(query, options);
+  stats->partition_ns += ElapsedNs(start);
+  stats->query_mbrs = partition.size();
+  span.Arg("query_mbrs", partition.size());
+  return partition;
+}
+
+void SecondPruning(const Partition& query_partition, size_t query_length,
+                   double epsilon, const SearchOptions& options,
+                   const CandidateSet& candidates,
+                   const PartitionLookup& lookup,
+                   const SearchControl& control, SearchResult* result) {
+  SearchStats& stats = result->stats;
+  {
+    // Candidates by ascending minimum Dmbr, so an interrupted query
+    // covered the most promising ones. The control is polled per
+    // candidate — the unit of abandonable work.
+    obs::SpanScope span(control.trace, "second_pruning");
+    control.SetPhase(SearchPhase::kSecondPruning);
+    const auto start = SteadyClock::now();
+    const std::vector<size_t> order = CandidateOrder(candidates);
+    Phase3Scratch scratch;
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      const size_t slot = order[pos];
+      const size_t id = candidates.ids[slot];
+      if (options.max_candidates > 0 && pos == options.max_candidates) {
+        // Budget cut: candidates are ordered by ascending minimum Dmbr, so
+        // every skipped candidate's distance is at least this slot's bound
+        // — the result stays exact below the certified threshold.
+        stats.approx_candidates_skipped = order.size() - pos;
+        stats.approx_certified_epsilon =
+            std::min(epsilon, std::sqrt(candidates.min_dist2[slot]));
+        break;
+      }
+      if (control.ShouldStop()) {
+        result->interrupted = true;
+        break;
+      }
+      size_t data_length = 0;
+      const Partition* data_partition = lookup(id, &data_length);
+      if (data_partition == nullptr) continue;
+      obs::SpanScope candidate_span(control.trace, "candidate");
+      candidate_span.Arg("sequence_id", id);
+      const size_t evals_before = stats.dnorm_evaluations;
+      SequenceMatch match;
+      match.sequence_id = id;
+      const bool qualified = EvaluatePhase3(
+          query_partition, query_length, *data_partition, data_length,
+          epsilon, options, &scratch, &match, &stats, control.trace);
+      candidate_span.Arg("dnorm_evaluations",
+                         stats.dnorm_evaluations - evals_before);
+      candidate_span.Arg("qualified", qualified ? 1 : 0);
+      if (qualified) {
+        result->matches.push_back(std::move(match));
+        if (control.progress != nullptr) {
+          control.progress->phase3_matches.store(
+              result->matches.size(), std::memory_order_relaxed);
+        }
+      }
+    }
+    // The result contract keeps matches ascending by id regardless of the
+    // processing order.
+    std::sort(result->matches.begin(), result->matches.end(), MatchIdLess);
+    stats.second_pruning_ns += ElapsedNs(start);
+    span.Arg("matches", result->matches.size());
+  }
+  stats.phase3_matches = result->matches.size();
+  stats.filter_matches = result->matches.size();
+  if (stats.approx_candidates_skipped == 0) {
+    // The budget did not bind (or none was set): the full answer at the
+    // requested threshold.
+    stats.approx_certified_epsilon = epsilon;
+  }
 }
 
 }  // namespace internal
@@ -401,87 +465,27 @@ SearchResult SimilaritySearch::Search(SequenceView query, double epsilon,
   SearchResult result;
 
   // Phase 1: one partitioning pass shared by both pruning phases.
-  control.SetPhase(SearchPhase::kPartition);
-  Partition query_partition;
-  {
-    obs::SpanScope span(control.trace, "partition");
-    const auto start = SteadyClock::now();
-    query_partition = PartitionSequence(query,
-                                        database_->options().partitioning);
-    result.stats.partition_ns += ElapsedNs(start);
-    result.stats.query_mbrs = query_partition.size();
-    span.Arg("query_mbrs", query_partition.size());
-  }
+  const Partition query_partition = internal::PartitionQuery(
+      query, database_->options().partitioning, control, &result.stats);
 
   control.SetPhase(SearchPhase::kFirstPruning);
-  FirstPruningResult pruned = FirstPruning(
+  const internal::CandidateSet pruned = FirstPruning(
       database_->index(), query_partition, epsilon, &result.stats,
       control.trace);
-  result.candidates = pruned.candidates;
+  result.candidates = pruned.ids;
   if (control.progress != nullptr) {
     control.progress->phase2_candidates.store(result.candidates.size(),
                                               std::memory_order_relaxed);
   }
 
-  // Phase 3: second pruning with Dnorm plus solution-interval assembly,
-  // processing candidates by ascending minimum Dmbr so an interrupted
-  // query covered the most promising ones. The control is polled per
-  // candidate — the unit of abandonable work.
-  {
-    obs::SpanScope span(control.trace, "second_pruning");
-    control.SetPhase(SearchPhase::kSecondPruning);
-    const auto start = SteadyClock::now();
-    const std::vector<size_t> order = CandidateOrder(pruned);
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      const size_t slot = order[pos];
-      const size_t id = pruned.candidates[slot];
-      if (options_.max_candidates > 0 &&
-          pos == options_.max_candidates) {
-        // Budget cut: candidates are ordered by ascending minimum Dmbr, so
-        // every skipped candidate's distance is at least this slot's bound
-        // — the result stays exact below the certified threshold.
-        result.stats.approx_candidates_skipped = order.size() - pos;
-        result.stats.approx_certified_epsilon =
-            std::min(epsilon, std::sqrt(pruned.min_dist2[slot]));
-        break;
-      }
-      if (control.ShouldStop()) {
-        result.interrupted = true;
-        break;
-      }
-      obs::SpanScope candidate_span(control.trace, "candidate");
-      candidate_span.Arg("sequence_id", id);
-      const size_t evals_before = result.stats.dnorm_evaluations;
-      SequenceMatch match;
-      match.sequence_id = id;
-      const bool qualified = internal::EvaluatePhase3(
-          query_partition, query.size(), database_->partition(id),
-          database_->sequence(id).size(), epsilon, options_, &match,
-          &result.stats, control.trace);
-      candidate_span.Arg("dnorm_evaluations",
-                         result.stats.dnorm_evaluations - evals_before);
-      candidate_span.Arg("qualified", qualified ? 1 : 0);
-      if (qualified) {
-        result.matches.push_back(std::move(match));
-        if (control.progress != nullptr) {
-          control.progress->phase3_matches.store(
-              result.matches.size(), std::memory_order_relaxed);
-        }
-      }
-    }
-    // The result contract keeps matches ascending by id regardless of the
-    // processing order.
-    std::sort(result.matches.begin(), result.matches.end(), MatchIdLess);
-    result.stats.second_pruning_ns += ElapsedNs(start);
-    span.Arg("matches", result.matches.size());
-  }
-  result.stats.phase3_matches = result.matches.size();
-  result.stats.filter_matches = result.matches.size();
-  if (result.stats.approx_candidates_skipped == 0) {
-    // The budget did not bind (or none was set): the full answer at the
-    // requested threshold.
-    result.stats.approx_certified_epsilon = epsilon;
-  }
+  // Phase 3: second pruning with Dnorm plus solution-interval assembly.
+  internal::SecondPruning(
+      query_partition, query.size(), epsilon, options_, pruned,
+      [this](size_t id, size_t* length) {
+        *length = database_->sequence(id).size();
+        return &database_->partition(id);
+      },
+      control, &result);
   return result;
 }
 

@@ -5,9 +5,11 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/database.h"
+#include "core/mbr_distance.h"
 #include "geom/sequence.h"
 #include "obs/explain.h"
 
@@ -70,7 +72,9 @@ struct SearchStats {
   /// Sequences surviving the Dnorm filter before any verification
   /// (== `phase3_matches` for plain `Search`).
   size_t filter_matches = 0;
-  /// `Dnorm` evaluations performed in Phase 3.
+  /// `Dnorm` evaluations in Phase 3: one per target MBR for every probe
+  /// that reached window enumeration (not dropped by the prefilter or the
+  /// min-Dmbr abandon), however the windows are enumerated.
   size_t dnorm_evaluations = 0;
   /// Query MBRs produced by Phase 1 partitioning.
   size_t query_mbrs = 0;
@@ -421,16 +425,69 @@ obs::ExplainStats ToExplainStats(const SearchResult& result,
 
 namespace internal {
 
+/// Phase-2 output: deduplicated candidate ids (ascending) plus, aligned with
+/// them, the minimum squared Dmbr any (query MBR, hit MBR) pair achieved —
+/// the key Phase 3 uses to process the most promising candidates first.
+struct CandidateSet {
+  std::vector<size_t> ids;
+  std::vector<double> min_dist2;
+};
+
+/// Turns per-probe batch hits (`SequenceDatabase::PackEntry` payloads) into
+/// the candidate set in O(hits + max id), through a dense min-array indexed
+/// by sequence id. Every backend's Phase 2 ends here.
+CandidateSet AggregateCandidates(
+    const std::vector<std::vector<SpatialIndex::BatchHit>>& hits);
+
+/// Positions into `candidates.ids` in Phase-3 order: ascending minimum
+/// Dmbr, ties by id (deterministic), so an interrupted or budget-cut query
+/// spent its work on the most promising candidates.
+std::vector<size_t> CandidateOrder(const CandidateSet& candidates);
+
+/// Per-query working memory of `EvaluatePhase3`, created once per query and
+/// passed to every candidate: once its buffers have grown, Phase 3
+/// allocates only each match's exact-size interval list.
+struct Phase3Scratch {
+  PartitionLayout layout;  ///< SoA mirror of the target side
+  std::vector<double> dmbr;  ///< one probe's Dmbr row
+  DnormContext context;  ///< prefix sums over `dmbr`
+  std::vector<double> probe_center;  ///< prefilter probe centroid
+  std::vector<double> prefilter_dist2;  ///< prefilter centroid distances
+  std::vector<uint8_t> probe_skipped;  ///< per-probe prefilter verdicts
+  std::vector<NormalizedDistanceResult> windows;  ///< one probe's windows
+  std::vector<Interval> spans;  ///< the candidate's spans before merging
+};
+
 /// Evaluates the paper's Phase 3 (Dnorm pruning + solution-interval
 /// assembly) for one candidate pair. Returns true when the candidate
-/// qualifies and fills `match` (everything except `sequence_id`). Shared by
-/// the in-memory `SimilaritySearch` and the disk-backed engine. `trace`
+/// qualifies and fills `match` (everything except `sequence_id`). `trace`
 /// (optional) receives the assembly span.
 bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
                     const Partition& data_partition, size_t data_length,
                     double epsilon, const SearchOptions& options,
-                    SequenceMatch* match, SearchStats* stats,
-                    obs::Trace* trace = nullptr);
+                    Phase3Scratch* scratch, SequenceMatch* match,
+                    SearchStats* stats, obs::Trace* trace = nullptr);
+
+/// Phase 1 of every backend: partitions `query` under a "partition" span
+/// and records its time and MBR count in `stats`.
+Partition PartitionQuery(SequenceView query,
+                         const PartitioningOptions& options,
+                         const SearchControl& control, SearchStats* stats);
+
+/// A backend's candidate data: the partition of sequence `id` (its length
+/// into `*length`), or null to skip the candidate.
+using PartitionLookup =
+    std::function<const Partition*(size_t id, size_t* length)>;
+
+/// Phase 3 of every backend: evaluates `candidates` in `CandidateOrder`
+/// with one `Phase3Scratch`, honouring `options.max_candidates` and
+/// `control`. Fills `result->matches` (ascending id), `interrupted`, and
+/// the Phase-3 and approximate-tier counters.
+void SecondPruning(const Partition& query_partition, size_t query_length,
+                   double epsilon, const SearchOptions& options,
+                   const CandidateSet& candidates,
+                   const PartitionLookup& lookup,
+                   const SearchControl& control, SearchResult* result);
 
 }  // namespace internal
 

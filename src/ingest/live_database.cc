@@ -10,6 +10,7 @@
 #include "core/distance.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "storage/disk_database.h"
 #include "storage/disk_format.h"
 #include "storage/page_stream.h"
 #include "util/check.h"
@@ -581,157 +582,51 @@ SearchResult LiveDatabase::Search(SequenceView query, double epsilon,
   SearchResult result;
 
   // Phase 1: query partitioning with the stored options.
-  control.SetPhase(SearchPhase::kPartition);
-  Partition query_partition;
-  {
-    obs::SpanScope span(control.trace, "partition");
-    const auto start = SteadyClock::now();
-    query_partition = PartitionSequence(query, partitioning_);
-    result.stats.partition_ns += ElapsedNs(start);
-    result.stats.query_mbrs = query_partition.size();
-    span.Arg("query_mbrs", query_partition.size());
-  }
+  const Partition query_partition = internal::PartitionQuery(
+      query, partitioning_, control, &result.stats);
 
   // Phase 2: one batched index descent against the snapshot's root, plus
   // a linear probe of the overlay pieces the snapshot has not indexed
   // (the open partial piece of each pending sequence, and any sealed
   // piece whose insert was published after this snapshot).
-  control.SetPhase(SearchPhase::kFirstPruning);
-  std::vector<double> candidate_min_dist2;
-  {
-    obs::SpanScope span(control.trace, "first_pruning");
-    const auto start = SteadyClock::now();
-    std::vector<Mbr> queries;
-    queries.reserve(query_partition.size());
-    for (const SequenceMbr& piece : query_partition) {
-      queries.push_back(piece.mbr);
-    }
-    std::vector<std::vector<SpatialIndex::BatchHit>> hits;
-    {
-      obs::SpanScope search_span(control.trace, "range_search");
-      const PagedRTree tree(dim_, pool_.get(), snap->root);
-      tree.RangeSearchBatch(queries, epsilon, &hits,
-                            &result.stats.node_accesses,
-                            &result.stats.page_misses);
-      search_span.Arg("probes", queries.size());
-      search_span.Arg("node_visits", result.stats.node_accesses);
-      search_span.Arg("pool_misses", result.stats.page_misses);
-    }
-    result.stats.page_hits =
-        result.stats.node_accesses - result.stats.page_misses;
-    std::vector<std::pair<size_t, double>> scored;
-    for (const auto& per_query : hits) {
-      for (const SpatialIndex::BatchHit& hit : per_query) {
-        scored.emplace_back(SequenceDatabase::UnpackSequenceId(hit.value),
-                            hit.dist2);
-      }
-    }
-    const double eps2 = epsilon * epsilon;
-    for (const PendingView& view : snap->pending) {
-      for (size_t ordinal = view.tree_pieces;
-           ordinal < view.partition.size(); ++ordinal) {
-        const Mbr& box = view.partition[ordinal].mbr;
-        for (const Mbr& probe : queries) {
-          const double d2 = probe.MinDist2(box);
-          if (d2 <= eps2) {
-            scored.emplace_back(static_cast<size_t>(view.id), d2);
+  const PagedRTree tree(dim_, pool_.get(), snap->root);
+  const internal::CandidateSet pruned = internal::PagedFirstPruning(
+      tree, query_partition, epsilon,
+      [&](const std::vector<Mbr>& queries,
+          std::vector<SpatialIndex::BatchHit>* overlay) {
+        const double eps2 = epsilon * epsilon;
+        for (const PendingView& view : snap->pending) {
+          for (size_t ordinal = view.tree_pieces;
+               ordinal < view.partition.size(); ++ordinal) {
+            const Mbr& box = view.partition[ordinal].mbr;
+            for (const Mbr& probe : queries) {
+              const double d2 = probe.MinDist2(box);
+              if (d2 <= eps2) {
+                overlay->push_back(SpatialIndex::BatchHit{
+                    SequenceDatabase::PackEntry(view.id, ordinal), d2});
+              }
+            }
           }
         }
-      }
-    }
-    std::sort(scored.begin(), scored.end());
-    for (const auto& [id, dist2] : scored) {
-      if (!result.candidates.empty() && result.candidates.back() == id) {
-        candidate_min_dist2.back() =
-            std::min(candidate_min_dist2.back(), dist2);
-      } else {
-        result.candidates.push_back(id);
-        candidate_min_dist2.push_back(dist2);
-      }
-    }
-    result.stats.phase2_candidates = result.candidates.size();
-    if (control.progress != nullptr) {
-      control.progress->phase2_candidates.store(result.candidates.size(),
-                                                std::memory_order_relaxed);
-    }
-    result.stats.first_pruning_ns += ElapsedNs(start);
-    span.Arg("node_accesses", result.stats.node_accesses);
-    span.Arg("pool_hits", result.stats.page_hits);
-    span.Arg("pool_misses", result.stats.page_misses);
-    span.Arg("candidates", result.candidates.size());
-  }
+      },
+      control, &result);
 
-  // Phase 3 on the snapshot's partition catalogs, most promising
-  // candidates first.
-  {
-    obs::SpanScope span(control.trace, "second_pruning");
-    control.SetPhase(SearchPhase::kSecondPruning);
-    const auto start = SteadyClock::now();
-    std::vector<size_t> order(result.candidates.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (candidate_min_dist2[a] != candidate_min_dist2[b]) {
-        return candidate_min_dist2[a] < candidate_min_dist2[b];
-      }
-      return result.candidates[a] < result.candidates[b];
-    });
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      const size_t slot = order[pos];
-      const size_t id = result.candidates[slot];
-      if (options_.max_candidates > 0 && pos == options_.max_candidates) {
-        // Budget cut: candidates are ordered by ascending minimum Dmbr, so
-        // every skipped candidate's distance is at least this slot's bound
-        // — the result stays exact below the certified threshold.
-        result.stats.approx_candidates_skipped = order.size() - pos;
-        result.stats.approx_certified_epsilon =
-            std::min(epsilon, std::sqrt(candidate_min_dist2[slot]));
-        break;
-      }
-      if (control.ShouldStop()) {
-        result.interrupted = true;
-        break;
-      }
-      const Partition* partition = nullptr;
-      size_t length = 0;
-      if (id < base.partitions.size()) {
-        partition = &base.partitions[id];
-        length = base.lengths[id];
-      } else if (const PendingView* view = FindPending(*snap, id)) {
-        partition = &view->partition;
-        length = view->length;
-      }
-      if (partition == nullptr || partition->empty()) continue;
-      obs::SpanScope candidate_span(control.trace, "candidate");
-      candidate_span.Arg("sequence_id", id);
-      const size_t evals_before = result.stats.dnorm_evaluations;
-      SequenceMatch match;
-      match.sequence_id = id;
-      const bool qualified = internal::EvaluatePhase3(
-          query_partition, query.size(), *partition, length, epsilon,
-          options_, &match, &result.stats, control.trace);
-      candidate_span.Arg("dnorm_evaluations",
-                         result.stats.dnorm_evaluations - evals_before);
-      candidate_span.Arg("qualified", qualified ? 1 : 0);
-      if (qualified) {
-        result.matches.push_back(std::move(match));
-        if (control.progress != nullptr) {
-          control.progress->phase3_matches.store(result.matches.size(),
-                                                 std::memory_order_relaxed);
+  // Phase 3 on the snapshot's partition catalogs.
+  internal::SecondPruning(
+      query_partition, query.size(), epsilon, options_, pruned,
+      [&](size_t id, size_t* length) -> const Partition* {
+        const Partition* partition = nullptr;
+        if (id < base.partitions.size()) {
+          partition = &base.partitions[id];
+          *length = base.lengths[id];
+        } else if (const PendingView* view = FindPending(*snap, id)) {
+          partition = &view->partition;
+          *length = view->length;
         }
-      }
-    }
-    std::sort(result.matches.begin(), result.matches.end(),
-              [](const SequenceMatch& a, const SequenceMatch& b) {
-                return a.sequence_id < b.sequence_id;
-              });
-    result.stats.second_pruning_ns += ElapsedNs(start);
-    span.Arg("matches", result.matches.size());
-  }
-  result.stats.phase3_matches = result.matches.size();
-  result.stats.filter_matches = result.matches.size();
-  if (result.stats.approx_candidates_skipped == 0) {
-    result.stats.approx_certified_epsilon = epsilon;
-  }
+        return partition == nullptr || partition->empty() ? nullptr
+                                                          : partition;
+      },
+      control, &result);
   return result;
 }
 

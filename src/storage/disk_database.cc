@@ -147,140 +147,66 @@ SearchResult DiskDatabase::Search(SequenceView query, double epsilon,
   SearchResult result;
 
   // Phase 1: query partitioning with the stored options.
-  control.SetPhase(SearchPhase::kPartition);
-  Partition query_partition;
-  {
-    obs::SpanScope span(control.trace, "partition");
-    const auto start = SteadyClock::now();
-    query_partition = PartitionSequence(query, partitioning_);
-    result.stats.partition_ns += ElapsedNs(start);
-    result.stats.query_mbrs = query_partition.size();
-    span.Arg("query_mbrs", query_partition.size());
-  }
+  const Partition query_partition = internal::PartitionQuery(
+      query, partitioning_, control, &result.stats);
 
-  // Phase 2 against the paged index: one batched descent for all query
-  // MBRs, so each node page is fetched once per query instead of once per
-  // query MBR. Node accesses and pool misses are counted per call (pages
-  // this query visited / read), not as a pool counter delta, so the
-  // numbers are deterministic and exact when other threads share the pool.
-  control.SetPhase(SearchPhase::kFirstPruning);
-  std::vector<double> candidate_min_dist2;
-  {
-    obs::SpanScope span(control.trace, "first_pruning");
-    const auto start = SteadyClock::now();
-    std::vector<Mbr> queries;
-    queries.reserve(query_partition.size());
-    for (const SequenceMbr& piece : query_partition) {
-      queries.push_back(piece.mbr);
-    }
-    std::vector<std::vector<SpatialIndex::BatchHit>> hits;
-    {
-      obs::SpanScope search_span(control.trace, "range_search");
-      tree_->RangeSearchBatch(queries, epsilon, &hits,
-                              &result.stats.node_accesses,
-                              &result.stats.page_misses);
-      search_span.Arg("probes", queries.size());
-      search_span.Arg("node_visits", result.stats.node_accesses);
-      search_span.Arg("pool_misses", result.stats.page_misses);
-    }
-    result.stats.page_hits =
-        result.stats.node_accesses - result.stats.page_misses;
-    // Deduplicate ids, tracking each candidate's minimum squared Dmbr —
-    // the Phase-3 processing order key.
-    std::vector<std::pair<size_t, double>> scored;
-    for (const auto& per_query : hits) {
-      for (const SpatialIndex::BatchHit& hit : per_query) {
-        scored.emplace_back(SequenceDatabase::UnpackSequenceId(hit.value),
-                            hit.dist2);
-      }
-    }
-    std::sort(scored.begin(), scored.end());
-    for (const auto& [id, dist2] : scored) {
-      if (!result.candidates.empty() && result.candidates.back() == id) {
-        candidate_min_dist2.back() =
-            std::min(candidate_min_dist2.back(), dist2);
-      } else {
-        result.candidates.push_back(id);
-        candidate_min_dist2.push_back(dist2);
-      }
-    }
-    result.stats.phase2_candidates = result.candidates.size();
-    if (control.progress != nullptr) {
-      control.progress->phase2_candidates.store(
-          result.candidates.size(), std::memory_order_relaxed);
-    }
-    result.stats.first_pruning_ns += ElapsedNs(start);
-    span.Arg("node_accesses", result.stats.node_accesses);
-    span.Arg("pool_hits", result.stats.page_hits);
-    span.Arg("pool_misses", result.stats.page_misses);
-    span.Arg("candidates", result.candidates.size());
-  }
+  const internal::CandidateSet pruned = internal::PagedFirstPruning(
+      *tree_, query_partition, epsilon, nullptr, control, &result);
 
-  // Phase 3 on the resident partition catalog, most promising candidates
-  // (smallest min Dmbr) first so interrupted queries spend their budget
-  // well.
-  {
-    obs::SpanScope span(control.trace, "second_pruning");
-    control.SetPhase(SearchPhase::kSecondPruning);
-    const auto start = SteadyClock::now();
-    std::vector<size_t> order(result.candidates.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (candidate_min_dist2[a] != candidate_min_dist2[b]) {
-        return candidate_min_dist2[a] < candidate_min_dist2[b];
-      }
-      return result.candidates[a] < result.candidates[b];
-    });
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      const size_t slot = order[pos];
-      const size_t id = result.candidates[slot];
-      if (options_.max_candidates > 0 &&
-          pos == options_.max_candidates) {
-        // Approximate-tier budget cut (same argument as the in-memory
-        // path): the ascending min-Dmbr order certifies everything below
-        // the first skipped candidate's bound.
-        result.stats.approx_candidates_skipped = order.size() - pos;
-        result.stats.approx_certified_epsilon =
-            std::min(epsilon, std::sqrt(candidate_min_dist2[slot]));
-        break;
-      }
-      if (control.ShouldStop()) {
-        result.interrupted = true;
-        break;
-      }
-      obs::SpanScope candidate_span(control.trace, "candidate");
-      candidate_span.Arg("sequence_id", id);
-      const size_t evals_before = result.stats.dnorm_evaluations;
-      SequenceMatch match;
-      match.sequence_id = id;
-      const bool qualified = internal::EvaluatePhase3(
-          query_partition, query.size(), partitions_[id], lengths_[id],
-          epsilon, options_, &match, &result.stats, control.trace);
-      candidate_span.Arg("dnorm_evaluations",
-                         result.stats.dnorm_evaluations - evals_before);
-      candidate_span.Arg("qualified", qualified ? 1 : 0);
-      if (qualified) {
-        result.matches.push_back(std::move(match));
-        if (control.progress != nullptr) {
-          control.progress->phase3_matches.store(
-              result.matches.size(), std::memory_order_relaxed);
-        }
-      }
-    }
-    std::sort(result.matches.begin(), result.matches.end(),
-              [](const SequenceMatch& a, const SequenceMatch& b) {
-                return a.sequence_id < b.sequence_id;
-              });
-    result.stats.second_pruning_ns += ElapsedNs(start);
-    span.Arg("matches", result.matches.size());
-  }
-  result.stats.phase3_matches = result.matches.size();
-  result.stats.filter_matches = result.matches.size();
-  if (result.stats.approx_candidates_skipped == 0) {
-    result.stats.approx_certified_epsilon = epsilon;
-  }
+  // Phase 3 on the resident partition catalog.
+  internal::SecondPruning(
+      query_partition, query.size(), epsilon, options_, pruned,
+      [this](size_t id, size_t* length) {
+        *length = lengths_[id];
+        return &partitions_[id];
+      },
+      control, &result);
   return result;
 }
+
+namespace internal {
+
+CandidateSet PagedFirstPruning(const PagedRTree& tree,
+                               const Partition& query_partition,
+                               double epsilon, const ExtraHits& extra,
+                               const SearchControl& control,
+                               SearchResult* result) {
+  control.SetPhase(SearchPhase::kFirstPruning);
+  SearchStats& stats = result->stats;
+  obs::SpanScope span(control.trace, "first_pruning");
+  const auto start = SteadyClock::now();
+  std::vector<Mbr> queries;
+  queries.reserve(query_partition.size());
+  for (const SequenceMbr& piece : query_partition) {
+    queries.push_back(piece.mbr);
+  }
+  std::vector<std::vector<SpatialIndex::BatchHit>> hits;
+  {
+    obs::SpanScope search_span(control.trace, "range_search");
+    tree.RangeSearchBatch(queries, epsilon, &hits, &stats.node_accesses,
+                          &stats.page_misses);
+    search_span.Arg("probes", queries.size());
+    search_span.Arg("node_visits", stats.node_accesses);
+    search_span.Arg("pool_misses", stats.page_misses);
+  }
+  stats.page_hits = stats.node_accesses - stats.page_misses;
+  if (extra) extra(queries, &hits.emplace_back());
+  CandidateSet pruned = AggregateCandidates(hits);
+  result->candidates = pruned.ids;
+  stats.phase2_candidates = pruned.ids.size();
+  if (control.progress != nullptr) {
+    control.progress->phase2_candidates.store(pruned.ids.size(),
+                                              std::memory_order_relaxed);
+  }
+  stats.first_pruning_ns += ElapsedNs(start);
+  span.Arg("node_accesses", stats.node_accesses);
+  span.Arg("pool_hits", stats.page_hits);
+  span.Arg("pool_misses", stats.page_misses);
+  span.Arg("candidates", pruned.ids.size());
+  return pruned;
+}
+
+}  // namespace internal
 
 SearchResult DiskDatabase::SearchVerified(SequenceView query,
                                           double epsilon) const {

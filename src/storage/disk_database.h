@@ -1,6 +1,7 @@
 #ifndef MDSEQ_STORAGE_DISK_DATABASE_H_
 #define MDSEQ_STORAGE_DISK_DATABASE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,6 +84,28 @@ class DiskDatabase {
   std::vector<Partition> partitions_;
   std::vector<size_t> lengths_;
 };
+
+namespace internal {
+
+/// Hits a paged backend holds outside its tree (the live overlay), appended
+/// for the given query MBRs.
+using ExtraHits = std::function<void(const std::vector<Mbr>& queries,
+                                     std::vector<SpatialIndex::BatchHit>*)>;
+
+/// Phase 2 of the paged backends (disk and live): one batched descent of
+/// `tree` for all query MBRs, so each node page is fetched once per query
+/// instead of once per query MBR, plus `extra` (optional) as one more hit
+/// list. Node accesses and pool misses are counted per call (pages this
+/// query visited / read), not as a pool counter delta, so the numbers are
+/// deterministic and exact when other threads share the pool. Fills
+/// `result->candidates` and the Phase-2 counters.
+CandidateSet PagedFirstPruning(const PagedRTree& tree,
+                               const Partition& query_partition,
+                               double epsilon, const ExtraHits& extra,
+                               const SearchControl& control,
+                               SearchResult* result);
+
+}  // namespace internal
 
 }  // namespace mdseq
 

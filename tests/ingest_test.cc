@@ -96,7 +96,9 @@ class LiveDatabaseTest : public ::testing::Test {
                                                         offset + chunk)));
       offset += chunk;
     }
-    if (seal) ASSERT_TRUE(db->SealSequence(id));
+    if (seal) {
+      ASSERT_TRUE(db->SealSequence(id));
+    }
   }
 
   std::string live_ = testing::TempDir() + "/ingest_test_live.db";
@@ -187,8 +189,12 @@ TEST_F(LiveDatabaseTest, SearchVerifiedMatchesFreshDiskDatabase) {
     // Leave the last few sequences unsealed: their trailing partial piece
     // exercises the overlay (non-indexed) search path.
     AppendChunked(&live, id, corpus[s], &rng, /*seal=*/s < 20);
-    if (s % 5 == 4) ASSERT_TRUE(live.Commit());
-    if (s == 11) ASSERT_TRUE(live.Checkpoint());
+    if (s % 5 == 4) {
+      ASSERT_TRUE(live.Commit());
+    }
+    if (s == 11) {
+      ASSERT_TRUE(live.Checkpoint());
+    }
   }
   ASSERT_TRUE(live.Commit());
 

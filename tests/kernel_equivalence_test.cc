@@ -1,6 +1,8 @@
-// Differential tests proving the PR-3 fast kernels compute the same answers
-// as the retained reference implementations:
+// Differential tests proving the fast kernels compute the same answers as
+// the retained reference implementations:
 //   - prefix-sum Dnorm (DnormContext) vs the naive window re-accumulation,
+//   - the distinct-window sweep vs the per-`j` window enumeration,
+//   - the dense Phase-2 candidate aggregator vs a sort-based one,
 //   - batched range search vs one RangeSearch per probe,
 //   - threshold-aware window profile vs the unbounded one,
 //   - the dispatched SIMD kernels (src/util/simd.h) vs their retained
@@ -22,6 +24,7 @@
 #include "core/distance.h"
 #include "core/mbr_distance.h"
 #include "core/partitioning.h"
+#include "core/search.h"
 #include "gen/fractal.h"
 #include "index/linear_index.h"
 #include "index/rstar_tree.h"
@@ -51,7 +54,8 @@ void ExpectSameWindows(const std::vector<NormalizedDistanceResult>& fast,
 void CheckDnormAgreement(const Partition& target, const Mbr& probe,
                          size_t probe_count, double epsilon) {
   const std::vector<double> dmbr = ComputeMbrDistances(probe, target);
-  const DnormContext context = MakeDnormContext(target, dmbr);
+  DnormContext context;
+  MakeDnormContext(target, dmbr, &context);
   for (size_t j = 0; j < target.size(); ++j) {
     const NormalizedDistanceResult ref =
         ReferenceNormalizedDistance(probe_count, target, j, dmbr);
@@ -94,7 +98,7 @@ TEST(DnormEquivalenceTest, SingleMbrTarget) {
   const Sequence data = GenerateFractalSequence(9, FractalOptions(), &rng);
   Partition target;  // whole sequence in one MBR
   target.push_back(SequenceMbr{data.BoundingBox(), 0, data.size()});
-  const Mbr probe(Point{0.1, 0.1}, Point{0.2, 0.2});
+  const Mbr probe(Point{0.1, 0.1, 0.1}, Point{0.2, 0.2, 0.2});
   // Case 1 (count >= probe_count) and Case 3 (whole sequence shorter).
   CheckDnormAgreement(target, probe, 4, 0.3);
   CheckDnormAgreement(target, probe, 50, 0.3);
@@ -113,7 +117,8 @@ TEST(DnormEquivalenceTest, ProbeCountExceedsTotalPointsIsBitIdentical) {
         GenerateFractalSequence(10, FractalOptions(), &rng);
     const Mbr probe = probe_seq.BoundingBox();
     const std::vector<double> dmbr = ComputeMbrDistances(probe, target);
-    const DnormContext context = MakeDnormContext(target, dmbr);
+    DnormContext context;
+    MakeDnormContext(target, dmbr, &context);
     const size_t probe_count = data.size() + 17;  // more than total points
     for (size_t j = 0; j < target.size(); ++j) {
       const NormalizedDistanceResult ref =
@@ -134,10 +139,11 @@ TEST(DnormEquivalenceTest, ZeroEpsilonKeepsOnlyExactWindows) {
   part.max_points = 6;
   const Partition target = PartitionSequence(data.View(), part);
   // A probe overlapping the whole space: many zero-distance MBRs.
-  const Mbr probe(Point{-1.0, -1.0}, Point{2.0, 2.0});
+  const Mbr probe(Point{-1.0, -1.0, -1.0}, Point{2.0, 2.0, 2.0});
   CheckDnormAgreement(target, probe, 12, 0.0);
   const std::vector<double> dmbr = ComputeMbrDistances(probe, target);
-  const DnormContext context = MakeDnormContext(target, dmbr);
+  DnormContext context;
+  MakeDnormContext(target, dmbr, &context);
   for (size_t j = 0; j < target.size(); ++j) {
     std::vector<NormalizedDistanceResult> windows;
     QualifyingDnormWindows(12, context, j, 0.0, &windows);
@@ -153,9 +159,10 @@ TEST(DnormEquivalenceTest, ContextPrefixSumsMatchPartition) {
   PartitioningOptions part;
   part.max_points = 7;
   const Partition target = PartitionSequence(data.View(), part);
-  const Mbr probe(Point{0.3, 0.3}, Point{0.4, 0.4});
+  const Mbr probe(Point{0.3, 0.3, 0.3}, Point{0.4, 0.4, 0.4});
   const std::vector<double> dmbr = ComputeMbrDistances(probe, target);
-  const DnormContext context = MakeDnormContext(target, dmbr);
+  DnormContext context;
+  MakeDnormContext(target, dmbr, &context);
   ASSERT_EQ(context.prefix_count.size(), target.size() + 1);
   size_t points = 0;
   double min_dmbr = std::numeric_limits<double>::infinity();
@@ -167,6 +174,213 @@ TEST(DnormEquivalenceTest, ContextPrefixSumsMatchPartition) {
   EXPECT_EQ(context.prefix_count.back(), points);
   EXPECT_EQ(context.total_points, points);
   EXPECT_EQ(context.min_dmbr, min_dmbr);
+}
+
+// ---------------------------------------------------------------------------
+// Distinct-window sweep vs the per-j enumeration.
+// ---------------------------------------------------------------------------
+
+bool WindowLess(const NormalizedDistanceResult& a,
+                const NormalizedDistanceResult& b) {
+  if (a.point_begin != b.point_begin) return a.point_begin < b.point_begin;
+  if (a.point_end != b.point_end) return a.point_end < b.point_end;
+  return a.distance < b.distance;
+}
+
+bool WindowEqual(const NormalizedDistanceResult& a,
+                 const NormalizedDistanceResult& b) {
+  return a.point_begin == b.point_begin && a.point_end == b.point_end &&
+         a.distance == b.distance;
+}
+
+std::vector<NormalizedDistanceResult> UniqueWindows(
+    std::vector<NormalizedDistanceResult> windows) {
+  std::sort(windows.begin(), windows.end(), WindowLess);
+  windows.erase(std::unique(windows.begin(), windows.end(), WindowEqual),
+                windows.end());
+  return windows;
+}
+
+std::vector<Interval> MergedSpans(
+    const std::vector<NormalizedDistanceResult>& windows) {
+  std::vector<Interval> spans;
+  for (const NormalizedDistanceResult& w : windows) {
+    spans.push_back(Interval{w.point_begin, w.point_end});
+  }
+  MergeIntervals(&spans);
+  return spans;
+}
+
+// One probe against one target: the distinct sweep must return the per-j
+// minimum bit-for-bit, produce the per-j window set (every value
+// bit-identical), stay O(m), and yield the same qualifying span union.
+void CheckDistinctAgainstPerJ(const Partition& target, const Mbr& probe,
+                              size_t probe_count, double epsilon) {
+  const std::vector<double> dmbr = ComputeMbrDistances(probe, target);
+  DnormContext context;
+  MakeDnormContext(target, dmbr, &context);
+  const double inf = std::numeric_limits<double>::infinity();
+
+  std::vector<NormalizedDistanceResult> per_j_all, per_j_qualifying;
+  double per_j_min = inf;
+  for (size_t j = 0; j < target.size(); ++j) {
+    per_j_min = std::min(per_j_min, QualifyingDnormWindows(
+                                        probe_count, context, j, inf,
+                                        &per_j_all));
+    QualifyingDnormWindows(probe_count, context, j, epsilon,
+                           &per_j_qualifying);
+  }
+  std::vector<NormalizedDistanceResult> distinct_all, distinct_qualifying;
+  const double distinct_min =
+      DistinctQualifyingWindows(probe_count, context, inf, &distinct_all);
+  EXPECT_EQ(DistinctQualifyingWindows(probe_count, context, epsilon,
+                                      &distinct_qualifying),
+            distinct_min);
+
+  EXPECT_EQ(distinct_min, per_j_min);
+  EXPECT_LE(distinct_all.size(), 3 * target.size());
+  const auto per_j_set = UniqueWindows(per_j_all);
+  const auto distinct_set = UniqueWindows(distinct_all);
+  ASSERT_EQ(distinct_set.size(), per_j_set.size());
+  for (size_t i = 0; i < per_j_set.size(); ++i) {
+    EXPECT_TRUE(WindowEqual(distinct_set[i], per_j_set[i])) << "window " << i;
+  }
+  EXPECT_EQ(MergedSpans(distinct_qualifying), MergedSpans(per_j_qualifying));
+}
+
+TEST(DistinctWindowsTest, MatchesPerJAcrossCasesDimsAndOrientations) {
+  Rng rng(406);
+  for (int trial = 0; trial < 96; ++trial) {
+    FractalOptions fractal;
+    fractal.dim = 1 + static_cast<size_t>(trial % 8);
+    const Sequence a = GenerateFractalSequence(
+        static_cast<size_t>(rng.UniformInt(8, 160)), fractal, &rng);
+    const Sequence b = GenerateFractalSequence(
+        static_cast<size_t>(rng.UniformInt(8, 400)), fractal, &rng);
+    PartitioningOptions part;
+    part.max_points = static_cast<size_t>(rng.UniformInt(1, 24));
+    const Partition pa = PartitionSequence(a.View(), part);
+    part.max_points = static_cast<size_t>(rng.UniformInt(1, 24));
+    const Partition pb = PartitionSequence(b.View(), part);
+    const double epsilon = rng.Uniform() * 0.6;
+    // Short side probing the long side, then the swapped (long-query)
+    // orientation; each probe's own count exercises Cases 1/2, a random
+    // count past the target's length exercises Case 3.
+    for (const auto& [probes, target] :
+         {std::pair{&pa, &pb}, std::pair{&pb, &pa}}) {
+      const size_t total = target->back().end - target->front().begin;
+      for (const SequenceMbr& probe : *probes) {
+        CheckDistinctAgainstPerJ(*target, probe.mbr, probe.count(), epsilon);
+        CheckDistinctAgainstPerJ(
+            *target, probe.mbr,
+            static_cast<size_t>(rng.UniformInt(1, static_cast<int64_t>(total) + 20)),
+            epsilon);
+      }
+    }
+  }
+}
+
+TEST(DistinctWindowsTest, HandBuiltCases) {
+  // Counts 3,1,3 with a 5-point probe: MBR 1 reaches a window only through
+  // the LD start 0, and the full-MBR LD/RD windows over [0, 7) coincide.
+  Partition target;
+  size_t at = 0;
+  for (size_t count : {3, 1, 3, 9, 2}) {
+    const double lo = 0.1 * static_cast<double>(target.size());
+    target.push_back(
+        SequenceMbr{Mbr(Point{lo, 0.0}, Point{lo + 0.05, 1.0}), at,
+                    at + count});
+    at += count;
+  }
+  const Mbr probe(Point{0.0, 0.0}, Point{0.02, 1.0});
+  for (size_t probe_count : {1, 2, 4, 5, 7, 9, 10, 17, 18, 19, 40}) {
+    CheckDistinctAgainstPerJ(target, probe, probe_count, 0.15);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dense candidate aggregation vs the sort-based reference.
+// ---------------------------------------------------------------------------
+
+internal::CandidateSet ReferenceAggregate(
+    const std::vector<std::vector<SpatialIndex::BatchHit>>& hits) {
+  std::vector<std::pair<size_t, double>> scored;
+  for (const auto& per_query : hits) {
+    for (const SpatialIndex::BatchHit& hit : per_query) {
+      scored.emplace_back(SequenceDatabase::UnpackSequenceId(hit.value),
+                          hit.dist2);
+    }
+  }
+  std::sort(scored.begin(), scored.end());
+  internal::CandidateSet result;
+  for (const auto& [id, dist2] : scored) {
+    if (!result.ids.empty() && result.ids.back() == id) {
+      result.min_dist2.back() = std::min(result.min_dist2.back(), dist2);
+    } else {
+      result.ids.push_back(id);
+      result.min_dist2.push_back(dist2);
+    }
+  }
+  return result;
+}
+
+void ExpectSameCandidates(
+    const std::vector<std::vector<SpatialIndex::BatchHit>>& hits) {
+  const internal::CandidateSet dense = internal::AggregateCandidates(hits);
+  const internal::CandidateSet ref = ReferenceAggregate(hits);
+  EXPECT_EQ(dense.ids, ref.ids);
+  ASSERT_EQ(dense.min_dist2.size(), ref.min_dist2.size());
+  for (size_t i = 0; i < ref.min_dist2.size(); ++i) {
+    EXPECT_EQ(dense.min_dist2[i], ref.min_dist2[i]) << "id " << ref.ids[i];
+  }
+}
+
+TEST(CandidateAggregationTest, DenseMatchesSortReference) {
+  Rng rng(407);
+  ExpectSameCandidates({});
+  ExpectSameCandidates({{}, {}});
+  for (int trial = 0; trial < 60; ++trial) {
+    // Dense, sparse (a few ids out of a wide range) and tie-heavy lists.
+    const int64_t id_range = trial % 3 == 0 ? 20 : (trial % 3 == 1 ? 5000 : 300);
+    std::vector<std::vector<SpatialIndex::BatchHit>> hits(
+        static_cast<size_t>(rng.UniformInt(1, 12)));
+    for (auto& per_query : hits) {
+      const int64_t count = rng.UniformInt(0, 40);
+      for (int64_t i = 0; i < count; ++i) {
+        const size_t id = static_cast<size_t>(rng.UniformInt(0, id_range - 1));
+        const size_t ordinal = static_cast<size_t>(rng.UniformInt(0, 30));
+        // Quantized distances make equal minima across lists common.
+        const double dist2 = static_cast<double>(rng.UniformInt(0, 8)) / 64.0;
+        per_query.push_back(SpatialIndex::BatchHit{
+            SequenceDatabase::PackEntry(id, ordinal), dist2});
+      }
+    }
+    // Overlay hits: ids above the base count, appended as one more list,
+    // some repeating an id the list already holds.
+    if (trial % 2 == 0) {
+      auto& overlay = hits.emplace_back();
+      for (int i = 0; i < 6; ++i) {
+        const size_t id = static_cast<size_t>(id_range + rng.UniformInt(0, 3));
+        overlay.push_back(SpatialIndex::BatchHit{
+            SequenceDatabase::PackEntry(id, static_cast<size_t>(i)),
+            rng.Uniform()});
+      }
+    }
+    ExpectSameCandidates(hits);
+  }
+}
+
+TEST(CandidateAggregationTest, OrderIsByMinDistThenId) {
+  std::vector<std::vector<SpatialIndex::BatchHit>> hits(2);
+  hits[0] = {{SequenceDatabase::PackEntry(9, 0), 0.5},
+             {SequenceDatabase::PackEntry(2, 1), 0.25},
+             {SequenceDatabase::PackEntry(4, 0), 0.25}};
+  hits[1] = {{SequenceDatabase::PackEntry(9, 3), 0.0},
+             {SequenceDatabase::PackEntry(4, 2), 0.75}};
+  const internal::CandidateSet set = internal::AggregateCandidates(hits);
+  EXPECT_EQ(set.ids, (std::vector<size_t>{2, 4, 9}));
+  EXPECT_EQ(set.min_dist2, (std::vector<double>{0.25, 0.25, 0.0}));
+  EXPECT_EQ(internal::CandidateOrder(set), (std::vector<size_t>{2, 0, 1}));
 }
 
 // ---------------------------------------------------------------------------

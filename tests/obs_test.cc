@@ -595,8 +595,9 @@ TEST(EngineObsTest, CollectsOneTracePerServedQuery) {
   options.num_threads = 3;
   options.trace_capacity = 1024;  // roomy: no shard should drop
   QueryEngine engine(&fixture.database, options);
-  auto futures = engine.SubmitBatch(std::move(queries),
-                                    QueryOptions{.epsilon = 0.2});
+  QueryOptions query_options;
+  query_options.epsilon = 0.2;
+  auto futures = engine.SubmitBatch(std::move(queries), query_options);
   for (auto& f : futures) f.get();
   engine.Shutdown();
 
@@ -620,8 +621,12 @@ TEST(EngineObsTest, CollectsOneTracePerServedQuery) {
 
 TEST(EngineObsTest, TracingOffMeansNoTraces) {
   ExplainFixture fixture;
-  QueryEngine engine(&fixture.database, EngineOptions{.num_threads = 2});
-  auto future = engine.Submit(fixture.query, QueryOptions{.epsilon = 0.2});
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  QueryEngine engine(&fixture.database, engine_options);
+  QueryOptions query_options;
+  query_options.epsilon = 0.2;
+  auto future = engine.Submit(fixture.query, query_options);
   EXPECT_EQ(future.get().status, QueryStatus::kOk);
   engine.Shutdown();
   EXPECT_TRUE(engine.TakeTraces().empty());

@@ -68,7 +68,8 @@ TEST(PerfSmokeTest, PrefixSumDnormIsNotSlowerThanReference) {
   });
   double fast_sum = 0.0;
   const int64_t fast_ns = TimeNs([&] {
-    const DnormContext context = MakeDnormContext(target, dmbr);
+    DnormContext context;
+    MakeDnormContext(target, dmbr, &context);
     for (size_t j = 0; j < target.size(); ++j) {
       fast_sum += NormalizedDistance(probe_count, context, j).distance;
     }

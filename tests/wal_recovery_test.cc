@@ -288,7 +288,9 @@ TEST_F(LiveCrashTest, AcknowledgedPointsSurviveEveryCommitBoundary) {
     ASSERT_TRUE(live.SealSequence(id));
     ASSERT_TRUE(live.Commit());
     acknowledged.back().assign(seq.data().begin(), seq.data().end());
-    if (s == 3) ASSERT_TRUE(live.Checkpoint());  // mid-stream checkpoint
+    if (s == 3) {
+      ASSERT_TRUE(live.Checkpoint());  // mid-stream checkpoint
+    }
 
     // Crash now: everything committed so far must reopen intact.
     SnapshotCrashCopy();

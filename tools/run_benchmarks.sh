@@ -6,6 +6,9 @@
 # the headline ratios:
 #   - dnorm_speedup_*:       naive window re-accumulation vs prefix-sum
 #                            context on a finely partitioned target,
+#   - dnorm_distinct_speedup_*: per-j enumeration of a probe's qualifying
+#                            windows vs the distinct-window sweep Phase 3
+#                            runs (same windows, each visited once),
 #   - rtree_visit_ratio_*:   R-tree nodes visited by per-probe descents vs
 #                            one batched descent (the paper's disk-access
 #                            proxy),
@@ -87,6 +90,12 @@ jq -s '
       dnorm_speedup_256:
         (bench("BM_DnormManyMbrs_Reference/256").real_time /
          bench("BM_DnormManyMbrs_PrefixSum/256").real_time),
+      dnorm_distinct_speedup_64:
+        (bench("BM_DnormManyMbrs_PerJWindows/64").real_time /
+         bench("BM_DnormManyMbrs_DistinctWindows/64").real_time),
+      dnorm_distinct_speedup_256:
+        (bench("BM_DnormManyMbrs_PerJWindows/256").real_time /
+         bench("BM_DnormManyMbrs_DistinctWindows/256").real_time),
       rtree_visit_ratio_8:
         (bench("BM_RStarMultiProbe_PerQuery/8").node_visits /
          bench("BM_RStarMultiProbe_Batch/8").node_visits),
