@@ -1,12 +1,16 @@
 // Microbenchmarks of the distance kernels (point distance, Dmean, window
-// profiles, full sequence distance). Supports `--json` (see json_main.h);
-// the bounded/unbounded profile pair feeds tools/run_benchmarks.sh.
+// profiles, verification, full sequence distance). Supports `--json` (see
+// json_main.h); the bounded/unbounded profile and verify pairs feed
+// tools/run_benchmarks.sh.
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "core/distance.h"
+#include "core/search.h"
 #include "gen/fractal.h"
 #include "json_main.h"
 #include "util/random.h"
@@ -88,6 +92,92 @@ void BM_WindowProfile_Bounded(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowProfile_Bounded)->Arg(64)->Arg(256);
+
+// Verification on a realistic population: queries cut from one synthetic
+// sequence (lengths 24-64, as the figure harnesses draw them), each checked
+// against every other sequence of a small Table-2-style corpus (56-512
+// points) at eps 0.1, where most pairs fail as most filter matches do.
+// `_Unbounded` derives distance and intervals from one unbounded
+// `WindowDistanceProfile` (the sequential-scan oracle's cost); `_Fused` is
+// `internal::VerifySequence`, the bounded single-pass verify behind every
+// backend's SearchVerified. tools/run_benchmarks.sh reports the ratio as
+// `verify_speedup`.
+struct VerifyPopulation {
+  std::vector<Sequence> corpus;
+  std::vector<Sequence> queries;
+  static constexpr double kEpsilon = 0.1;
+
+  VerifyPopulation() {
+    Rng rng(33);
+    for (size_t i = 0; i < 32; ++i) {
+      corpus.push_back(GenerateFractalSequence(
+          static_cast<size_t>(rng.UniformInt(56, 512)), FractalOptions(),
+          &rng));
+    }
+    const Sequence& source = corpus[0];
+    for (size_t q = 0; q < 8; ++q) {
+      const size_t length = 24 + (7 * q) % 41;
+      const size_t begin = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(source.size() - length)));
+      Sequence query(source.dim());
+      query.Extend(source.View().Slice(begin, begin + length));
+      queries.push_back(std::move(query));
+    }
+  }
+
+  int64_t pairs() const {
+    return static_cast<int64_t>(queries.size() * (corpus.size() - 1));
+  }
+};
+
+void BM_VerifyPopulation_Unbounded(benchmark::State& state) {
+  const VerifyPopulation population;
+  const double epsilon = VerifyPopulation::kEpsilon;
+  std::vector<Interval> intervals;
+  for (auto _ : state) {
+    for (const Sequence& query : population.queries) {
+      for (size_t id = 1; id < population.corpus.size(); ++id) {
+        const SequenceView data = population.corpus[id].View();
+        const std::vector<double> profile =
+            WindowDistanceProfile(query.View(), data);
+        const double best = *std::min_element(profile.begin(), profile.end());
+        intervals.clear();
+        if (best <= epsilon) {
+          for (size_t j = 0; j < profile.size(); ++j) {
+            if (profile[j] <= epsilon) {
+              intervals.push_back(Interval{j, j + query.size()});
+            }
+          }
+          MergeIntervals(&intervals);
+        }
+        benchmark::DoNotOptimize(best);
+        benchmark::DoNotOptimize(intervals.data());
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          population.pairs());
+}
+BENCHMARK(BM_VerifyPopulation_Unbounded);
+
+void BM_VerifyPopulation_Fused(benchmark::State& state) {
+  const VerifyPopulation population;
+  std::vector<Interval> intervals;
+  for (auto _ : state) {
+    for (const Sequence& query : population.queries) {
+      for (size_t id = 1; id < population.corpus.size(); ++id) {
+        double exact = 0.0;
+        benchmark::DoNotOptimize(internal::VerifySequence(
+            query.View(), population.corpus[id].View(),
+            VerifyPopulation::kEpsilon, &exact, &intervals));
+        benchmark::DoNotOptimize(exact);
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          population.pairs());
+}
+BENCHMARK(BM_VerifyPopulation_Fused);
 
 // Scalar vs dispatched point-sum kernel — the inner loop of every window
 // profile / mean distance evaluation — on one window of state.range(0)

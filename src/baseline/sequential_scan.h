@@ -23,6 +23,9 @@ struct ScanMatch {
 /// The brute-force baseline every experiment compares against: computes the
 /// exact `SequenceDistance` to every stored sequence and the exact solution
 /// intervals of qualifying sequences, with no index and no MBR bounds.
+/// Being the oracle, its distances stay on the unbounded `SequenceDistance`
+/// (no abandon, no window-sum skip, unlike the backends' verify stage);
+/// only its intervals come from the bounded `ExactSolutionInterval`.
 class SequentialScan {
  public:
   /// The database must outlive this object. Only the raw sequences are used.

@@ -55,8 +55,9 @@ std::vector<double> WindowDistanceProfileBounded(SequenceView query,
   MDSEQ_CHECK(query.dim() == data.dim());
   MDSEQ_CHECK(epsilon >= 0.0);
   const size_t k = query.size();
+  const size_t n = data.size();
   const size_t dim = query.dim();
-  const size_t num_windows = data.size() - k + 1;
+  const size_t num_windows = n - k + 1;
   const double points = static_cast<double>(k);
   // Abandon only when the partial sum exceeds epsilon*k with margin: the
   // relative slack (1e-12, orders of magnitude above the 2^-53 rounding of
@@ -65,9 +66,53 @@ std::vector<double> WindowDistanceProfileBounded(SequenceView query,
   const double bound = epsilon * points * (1.0 + 1e-12) + 1e-280;
   const double* query_base = query[0].data();
   const double* data_base = data[0].data();
+
+  // Window-sum lower bound (triangle inequality):
+  //   sum_i ||q_i - s_{i+j}||  >=  ||sum_i q_i - (P[j+k] - P[j])||,
+  // with P the per-coordinate prefix sums of `data`: O(dim) per window
+  // instead of the O(k*dim) point sum. A window is skipped only when the
+  // bound clears `skip`, which adds to the abandon bound the forward error
+  // of the bound's own sums (absolute, `2(n+3)u` times the magnitudes
+  // sum|x|) and scales by the relative error of both norms, so a skipped
+  // window's point sum would have exceeded `bound` in any rounding (see
+  // docs/performance.md). Non-finite inputs make the magnitudes, hence
+  // `skip`, Inf or NaN, which never skips.
+  std::vector<double> prefix((n + 1) * dim, 0.0);
+  std::vector<double> query_sum(dim, 0.0);
+  double magnitude = 0.0;
+  for (size_t t = 0; t < n; ++t) {
+    for (size_t c = 0; c < dim; ++c) {
+      const double x = data_base[t * dim + c];
+      prefix[(t + 1) * dim + c] = prefix[t * dim + c] + x;
+      magnitude += 2.0 * std::fabs(x);
+    }
+  }
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t c = 0; c < dim; ++c) {
+      const double x = query_base[i * dim + c];
+      query_sum[c] += x;
+      magnitude += std::fabs(x);
+    }
+  }
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double absolute = static_cast<double>(n + 3) * eps * magnitude;
+  const double relative = 1e-12 + static_cast<double>(k + 2 * dim + 8) * eps;
+  // The 1e-100 floor keeps `skip * skip` clear of underflow, where the
+  // relative error model of the point sums no longer holds.
+  const double skip = (bound + absolute) * (1.0 + relative) + 1e-100;
+  const double skip2 = skip * skip;
+
   std::vector<double> profile(num_windows,
                               std::numeric_limits<double>::infinity());
   for (size_t j = 0; j < num_windows; ++j) {
+    const double* lo = prefix.data() + j * dim;
+    const double* hi = lo + k * dim;
+    double gap2 = 0.0;
+    for (size_t c = 0; c < dim; ++c) {
+      const double gap = query_sum[c] - (hi[c] - lo[c]);
+      gap2 += gap * gap;
+    }
+    if (gap2 > skip2) continue;
     bool abandoned = false;
     const double sum = simd::PointSumBounded(query_base, data_base + j * dim,
                                              k, dim, bound, &abandoned);

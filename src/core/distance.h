@@ -31,16 +31,20 @@ double SequenceDistance(SequenceView a, SequenceView b);
 std::vector<double> WindowDistanceProfile(SequenceView query,
                                           SequenceView data);
 
-/// Threshold-aware `WindowDistanceProfile`: a window's point-distance sum
-/// is abandoned as soon as it provably exceeds `epsilon * k` (point
-/// distances are non-negative, so partial sums only grow), and the window
-/// reports +infinity instead of its mean. Windows that complete carry the
+/// Threshold-aware `WindowDistanceProfile`: a window is skipped before its
+/// point sum when the O(dim) window-sum lower bound
+/// `||sum_i q_i - sum_i s_{i+j}||` (triangle inequality, from prefix sums
+/// of `data` built once per call) already exceeds `epsilon * k`, and its
+/// point-distance sum is abandoned as soon as it provably exceeds
+/// `epsilon * k` (point distances are non-negative, so partial sums only
+/// grow); either way the window reports +infinity instead of its mean.
+/// NaN or Inf coordinates disable the skip. Windows that complete carry the
 /// bit-identical value `WindowDistanceProfile` would compute (same terms,
 /// same order), and every window whose true mean is within `epsilon`
 /// always completes — the abandon bound carries enough slack to absorb the
-/// final division's rounding, so `profile[j] <= epsilon` decisions are
-/// exactly those of the unbounded profile. The inner loop runs over the
-/// raw contiguous point storage so it auto-vectorizes.
+/// final division's rounding, and the skip test the forward error of the
+/// bound's sums, so `profile[j] <= epsilon` decisions are exactly those of
+/// the unbounded profile.
 std::vector<double> WindowDistanceProfileBounded(SequenceView query,
                                                  SequenceView data,
                                                  double epsilon);
@@ -48,7 +52,7 @@ std::vector<double> WindowDistanceProfileBounded(SequenceView query,
 /// Threshold-aware `SequenceDistance`: returns the exact distance when it
 /// is within `epsilon` (bit-identical to `SequenceDistance`), +infinity
 /// otherwise. Built on `WindowDistanceProfileBounded`, so alignments that
-/// cannot qualify are abandoned early.
+/// cannot qualify are skipped or abandoned early.
 double SequenceDistanceBounded(SequenceView a, SequenceView b,
                                double epsilon);
 

@@ -92,32 +92,9 @@ size_t CoveredPoints(const std::vector<Interval>& intervals) {
 std::vector<Interval> ExactSolutionInterval(SequenceView query,
                                             SequenceView data,
                                             double epsilon) {
-  MDSEQ_CHECK(!query.empty() && !data.empty());
-  MDSEQ_CHECK(epsilon >= 0.0);
+  double exact = 0.0;
   std::vector<Interval> intervals;
-  // The bounded profile abandons alignments that provably exceed the
-  // threshold (they report +inf); alignments within epsilon always
-  // complete with their exact mean, so the intervals are identical to the
-  // unbounded computation.
-  if (query.size() > data.size()) {
-    // Long query: Definition 3 slides `data` along `query`; when any
-    // alignment qualifies, the whole data sequence participates.
-    const std::vector<double> profile =
-        WindowDistanceProfileBounded(data, query, epsilon);
-    if (*std::min_element(profile.begin(), profile.end()) <= epsilon) {
-      intervals.push_back(Interval{0, data.size()});
-    }
-    return intervals;
-  }
-  const size_t k = query.size();
-  const std::vector<double> profile =
-      WindowDistanceProfileBounded(query, data, epsilon);
-  for (size_t j = 0; j < profile.size(); ++j) {
-    if (profile[j] <= epsilon) {
-      intervals.push_back(Interval{j, j + k});
-    }
-  }
-  MergeIntervals(&intervals);
+  internal::VerifySequence(query, data, epsilon, &exact, &intervals);
   return intervals;
 }
 
@@ -303,6 +280,73 @@ bool EvaluatePhase3(const Partition& query_partition, size_t query_length,
     assembly_span.Arg("intervals", match->solution_interval.size());
   }
   return qualified;
+}
+
+bool VerifySequence(SequenceView query, SequenceView data, double epsilon,
+                    double* exact, std::vector<Interval>* intervals) {
+  MDSEQ_CHECK(!query.empty() && !data.empty());
+  MDSEQ_CHECK(epsilon >= 0.0);
+  // Definition 3 slides the shorter side, equal lengths slide the query:
+  // the orientation of both `SequenceDistanceBounded` and
+  // `ExactSolutionInterval`, so one profile serves both. Windows within
+  // epsilon always complete with their exact mean.
+  const bool long_query = query.size() > data.size();
+  const std::vector<double> profile =
+      long_query ? WindowDistanceProfileBounded(data, query, epsilon)
+                 : WindowDistanceProfileBounded(query, data, epsilon);
+  const double best = *std::min_element(profile.begin(), profile.end());
+  *exact = best <= epsilon ? best : std::numeric_limits<double>::infinity();
+  intervals->clear();
+  if (long_query) {
+    // The data sequence slides inside the query: when any alignment
+    // qualifies, the whole data sequence participates.
+    if (best <= epsilon) intervals->push_back(Interval{0, data.size()});
+  } else {
+    for (size_t j = 0; j < profile.size(); ++j) {
+      if (profile[j] <= epsilon) {
+        intervals->push_back(Interval{j, j + query.size()});
+      }
+    }
+    MergeIntervals(intervals);
+  }
+  return *exact <= epsilon;
+}
+
+void VerifyMatches(SequenceView query, double epsilon,
+                   const SequenceFetch& fetch, const SearchControl& control,
+                   SearchResult* result) {
+  control.SetPhase(SearchPhase::kVerify);
+  obs::SpanScope span(control.trace, "verify");
+  const auto start = SteadyClock::now();
+  SearchStats& stats = result->stats;
+  std::vector<SequenceMatch>& matches = result->matches;
+  std::optional<Sequence> owned;
+  size_t kept = 0;
+  for (size_t i = 0; i < matches.size(); ++i) {
+    if (control.ShouldStop()) {
+      result->interrupted = true;
+      break;
+    }
+    SequenceMatch& match = matches[i];
+    obs::SpanScope candidate_span(control.trace, "verify_candidate");
+    candidate_span.Arg("sequence_id", match.sequence_id);
+    const SequenceView data = fetch(match.sequence_id, &owned);
+    if (data.empty()) continue;
+    stats.bytes_read += data.size() * data.dim() * sizeof(double);
+    // Early-abandoning verification: the exact distance and intervals
+    // when within epsilon, a drop when the distance provably is not.
+    if (!VerifySequence(query, data, epsilon, &match.exact_distance,
+                        &match.solution_interval)) {
+      ++stats.verify_abandons;
+      continue;
+    }
+    if (kept != i) matches[kept] = std::move(match);
+    ++kept;
+  }
+  matches.resize(kept);
+  stats.phase3_matches = kept;
+  stats.verify_ns += ElapsedNs(start);
+  span.Arg("verified_matches", kept);
 }
 
 Partition PartitionQuery(SequenceView query,
@@ -497,35 +541,12 @@ SearchResult SimilaritySearch::SearchVerified(SequenceView query,
 SearchResult SimilaritySearch::SearchVerified(
     SequenceView query, double epsilon, const SearchControl& control) const {
   SearchResult result = Search(query, epsilon, control);
-  control.SetPhase(SearchPhase::kVerify);
-  obs::SpanScope span(control.trace, "verify");
-  const auto start = SteadyClock::now();
-  std::vector<SequenceMatch> verified;
-  verified.reserve(result.matches.size());
-  for (SequenceMatch& match : result.matches) {
-    if (control.ShouldStop()) {
-      result.interrupted = true;
-      break;
-    }
-    obs::SpanScope candidate_span(control.trace, "verify_candidate");
-    candidate_span.Arg("sequence_id", match.sequence_id);
-    const SequenceView data = database_->sequence(match.sequence_id).View();
-    result.stats.bytes_read += data.size() * data.dim() * sizeof(double);
-    // Early-abandoning verification: exact distance when within epsilon,
-    // +inf (dropped below) when it provably is not.
-    const double exact = SequenceDistanceBounded(query, data, epsilon);
-    if (exact > epsilon) {
-      ++result.stats.verify_abandons;
-      continue;
-    }
-    match.exact_distance = exact;
-    match.solution_interval = ExactSolutionInterval(query, data, epsilon);
-    verified.push_back(std::move(match));
-  }
-  result.matches = std::move(verified);
-  result.stats.phase3_matches = result.matches.size();
-  result.stats.verify_ns += ElapsedNs(start);
-  span.Arg("verified_matches", result.matches.size());
+  internal::VerifyMatches(
+      query, epsilon,
+      [this](size_t id, std::optional<Sequence>*) {
+        return database_->sequence(id).View();
+      },
+      control, &result);
   return result;
 }
 

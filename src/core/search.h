@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/database.h"
@@ -478,6 +479,33 @@ Partition PartitionQuery(SequenceView query,
 /// into `*length`), or null to skip the candidate.
 using PartitionLookup =
     std::function<const Partition*(size_t id, size_t* length)>;
+
+/// Exact verification of one sequence in one bounded profile pass
+/// (`WindowDistanceProfileBounded`, sliding the same side as Definition 3):
+/// the profile's minimum is the exact distance and its windows within
+/// `epsilon` are the exact solution intervals. Sets `*exact` to
+/// `SequenceDistanceBounded(query, data, epsilon)` and `*intervals` to
+/// `ExactSolutionInterval(query, data, epsilon)`, bit for bit, and returns
+/// whether the distance is within `epsilon`.
+bool VerifySequence(SequenceView query, SequenceView data, double epsilon,
+                    double* exact, std::vector<Interval>* intervals);
+
+/// A backend's raw sequence `id` for verification, read into `*owned` when
+/// the backend must materialize a copy. An empty view drops the match (an
+/// I/O failure, or an id outside the backend's snapshot); filter matches
+/// are never empty.
+using SequenceFetch =
+    std::function<SequenceView(size_t id, std::optional<Sequence>* owned)>;
+
+/// The verify stage of every backend's `SearchVerified`: runs
+/// `VerifySequence` on each of `result->matches` (ascending id) under a
+/// "verify" span, keeps the matches within `epsilon` with their exact
+/// distance and intervals, and fills `phase3_matches`, `verify_abandons`
+/// (matches whose exact distance exceeds `epsilon`), `bytes_read` and
+/// `verify_ns`. Polls `control` per match.
+void VerifyMatches(SequenceView query, double epsilon,
+                   const SequenceFetch& fetch, const SearchControl& control,
+                   SearchResult* result);
 
 /// Phase 3 of every backend: evaluates `candidates` in `CandidateOrder`
 /// with one `Phase3Scratch`, honouring `options.max_candidates` and

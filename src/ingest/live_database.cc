@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "core/database.h"
-#include "core/distance.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "storage/disk_database.h"
@@ -571,14 +570,19 @@ const LiveDatabase::PendingView* LiveDatabase::FindPending(
 
 SearchResult LiveDatabase::Search(SequenceView query, double epsilon,
                                   const SearchControl& control) const {
+  const std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
+  MDSEQ_CHECK(snap != nullptr);
+  return Search(*snap, query, epsilon, control);
+}
+
+SearchResult LiveDatabase::Search(const Snapshot& snap, SequenceView query,
+                                  double epsilon,
+                                  const SearchControl& control) const {
   MDSEQ_CHECK(valid_);
   MDSEQ_CHECK(!query.empty());
   MDSEQ_CHECK(query.dim() == dim_);
   MDSEQ_CHECK(epsilon >= 0.0);
-
-  const std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
-  MDSEQ_CHECK(snap != nullptr);
-  const BaseState& base = *snap->base;
+  const BaseState& base = *snap.base;
   SearchResult result;
 
   // Phase 1: query partitioning with the stored options.
@@ -589,13 +593,13 @@ SearchResult LiveDatabase::Search(SequenceView query, double epsilon,
   // a linear probe of the overlay pieces the snapshot has not indexed
   // (the open partial piece of each pending sequence, and any sealed
   // piece whose insert was published after this snapshot).
-  const PagedRTree tree(dim_, pool_.get(), snap->root);
+  const PagedRTree tree(dim_, pool_.get(), snap.root);
   const internal::CandidateSet pruned = internal::PagedFirstPruning(
       tree, query_partition, epsilon,
       [&](const std::vector<Mbr>& queries,
           std::vector<SpatialIndex::BatchHit>* overlay) {
         const double eps2 = epsilon * epsilon;
-        for (const PendingView& view : snap->pending) {
+        for (const PendingView& view : snap.pending) {
           for (size_t ordinal = view.tree_pieces;
                ordinal < view.partition.size(); ++ordinal) {
             const Mbr& box = view.partition[ordinal].mbr;
@@ -619,7 +623,7 @@ SearchResult LiveDatabase::Search(SequenceView query, double epsilon,
         if (id < base.partitions.size()) {
           partition = &base.partitions[id];
           *length = base.lengths[id];
-        } else if (const PendingView* view = FindPending(*snap, id)) {
+        } else if (const PendingView* view = FindPending(snap, id)) {
           partition = &view->partition;
           *length = view->length;
         }
@@ -633,49 +637,23 @@ SearchResult LiveDatabase::Search(SequenceView query, double epsilon,
 SearchResult LiveDatabase::SearchVerified(SequenceView query, double epsilon,
                                           const SearchControl& control) const {
   // Verification must read the same snapshot the filter phases used, so
-  // the phases are inlined over one snapshot fetch rather than chaining
-  // Search() + a second fetch.
+  // both run over one pinned snapshot.
   const std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
-  SearchResult result = Search(query, epsilon, control);
-  control.SetPhase(SearchPhase::kVerify);
-  obs::SpanScope span(control.trace, "verify");
-  const auto start = SteadyClock::now();
-  std::vector<SequenceMatch> verified;
-  verified.reserve(result.matches.size());
-  for (SequenceMatch& match : result.matches) {
-    if (control.ShouldStop()) {
-      result.interrupted = true;
-      break;
-    }
-    obs::SpanScope candidate_span(control.trace, "verify_candidate");
-    candidate_span.Arg("sequence_id", match.sequence_id);
-    std::optional<Sequence> owned;
-    SequenceView view;
-    if (match.sequence_id < snap->base->partitions.size()) {
-      owned = snap->base->store->Read(match.sequence_id);
-      if (!owned.has_value()) continue;  // I/O failure: drop conservatively
-      view = owned->View();
-    } else if (const PendingView* pending =
-                   FindPending(*snap, match.sequence_id)) {
-      if (pending->data == nullptr) continue;
-      view = pending->data->View();
-    } else {
-      continue;
-    }
-    result.stats.bytes_read += view.size() * view.dim() * sizeof(double);
-    const double exact = SequenceDistance(query, view);
-    if (exact > epsilon) {
-      ++result.stats.verify_abandons;
-      continue;
-    }
-    match.exact_distance = exact;
-    match.solution_interval = ExactSolutionInterval(query, view, epsilon);
-    verified.push_back(std::move(match));
-  }
-  result.matches = std::move(verified);
-  result.stats.phase3_matches = result.matches.size();
-  result.stats.verify_ns += ElapsedNs(start);
-  span.Arg("verified_matches", result.matches.size());
+  MDSEQ_CHECK(snap != nullptr);
+  SearchResult result = Search(*snap, query, epsilon, control);
+  internal::VerifyMatches(
+      query, epsilon,
+      [&](size_t id, std::optional<Sequence>* owned) {
+        if (id < snap->base->partitions.size()) {
+          *owned = snap->base->store->Read(id);  // I/O failure: dropped
+          return owned->has_value() ? (*owned)->View() : SequenceView();
+        }
+        const PendingView* pending = FindPending(*snap, id);
+        return pending == nullptr || pending->data == nullptr
+                   ? SequenceView()
+                   : pending->data->View();
+      },
+      control, &result);
   return result;
 }
 

@@ -196,6 +196,10 @@ class LiveDatabase {
   };
 
   std::shared_ptr<const Snapshot> CurrentSnapshot() const;
+  // The filter phases over one pinned snapshot, so `SearchVerified` can
+  // verify against the very snapshot its filter read.
+  SearchResult Search(const Snapshot& snap, SequenceView query,
+                      double epsilon, const SearchControl& control) const;
   const PendingView* FindPending(const Snapshot& snap, uint64_t id) const;
   // Requires writer_mutex_. Publishes the current writer state as a new
   // snapshot, reusing unchanged pending views from the previous one.

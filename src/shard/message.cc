@@ -64,6 +64,8 @@ class Reader {
   bool Doubles(std::vector<double>* out, size_t count) {
     if (data_.size() - pos_ < count * sizeof(double)) return false;
     out->resize(count);
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (count == 0) return true;
     std::memcpy(out->data(), data_.data() + pos_, count * sizeof(double));
     pos_ += count * sizeof(double);
     return true;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "core/distance.h"
 #include "obs/trace.h"
 #include "storage/disk_format.h"
 #include "storage/page_stream.h"
@@ -216,36 +215,13 @@ SearchResult DiskDatabase::SearchVerified(SequenceView query,
 SearchResult DiskDatabase::SearchVerified(SequenceView query, double epsilon,
                                           const SearchControl& control) const {
   SearchResult result = Search(query, epsilon, control);
-  control.SetPhase(SearchPhase::kVerify);
-  obs::SpanScope span(control.trace, "verify");
-  const auto start = SteadyClock::now();
-  std::vector<SequenceMatch> verified;
-  verified.reserve(result.matches.size());
-  for (SequenceMatch& match : result.matches) {
-    if (control.ShouldStop()) {
-      result.interrupted = true;
-      break;
-    }
-    obs::SpanScope candidate_span(control.trace, "verify_candidate");
-    candidate_span.Arg("sequence_id", match.sequence_id);
-    const auto sequence = store_->Read(match.sequence_id);
-    if (!sequence.has_value()) continue;  // I/O failure: drop conservatively
-    result.stats.bytes_read +=
-        sequence->size() * sequence->dim() * sizeof(double);
-    const double exact = SequenceDistance(query, sequence->View());
-    if (exact > epsilon) {
-      ++result.stats.verify_abandons;
-      continue;
-    }
-    match.exact_distance = exact;
-    match.solution_interval =
-        ExactSolutionInterval(query, sequence->View(), epsilon);
-    verified.push_back(std::move(match));
-  }
-  result.matches = std::move(verified);
-  result.stats.phase3_matches = result.matches.size();
-  result.stats.verify_ns += ElapsedNs(start);
-  span.Arg("verified_matches", result.matches.size());
+  internal::VerifyMatches(
+      query, epsilon,
+      [this](size_t id, std::optional<Sequence>* owned) {
+        *owned = store_->Read(id);  // an I/O failure drops the match
+        return owned->has_value() ? (*owned)->View() : SequenceView();
+      },
+      control, &result);
   return result;
 }
 

@@ -141,6 +141,62 @@ TEST_F(IngestChurnTest, ReadersSeeMonotoneConsistentSnapshots) {
 // The engine-level version: queries and ingest batches share one worker
 // pool; every future must resolve and the engine must shut down cleanly
 // with ingest still arriving — the shape the serve-bench CLI runs.
+// SearchVerified must verify against the snapshot its filter read. The
+// writer commits sequence m as four copies of the point (0.001 m, 0.5);
+// readers query the copy of the *next* sequence (m = num_sequences()), so
+// a commit landing between two snapshot fetches would make the filter
+// find sequence m while verification cannot see it. Every filter match is
+// an exact copy of the query, so a consistent read verifies all of them:
+// filter_matches == phase3_matches, with no abandon.
+TEST_F(IngestChurnTest, SearchVerifiedReadsOneSnapshot) {
+  constexpr size_t kSequences = 300;
+  constexpr size_t kReaders = 2;
+  const auto pattern = [](size_t m) {
+    Sequence copy(2);
+    for (int i = 0; i < 4; ++i) {
+      copy.Append(Point{0.001 * static_cast<double>(m), 0.5});
+    }
+    return copy;
+  };
+  const double epsilon = 0.0004;
+
+  ASSERT_TRUE(LiveDatabase::Create(live_, 2));
+  LiveDatabase live(live_);
+  ASSERT_TRUE(live.valid());
+
+  std::atomic<bool> stop{false};
+  std::vector<size_t> queries(kReaders, 0);
+  std::vector<size_t> inconsistent(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const Sequence query = pattern(live.num_sequences());
+        const SearchResult result = live.SearchVerified(query.View(), epsilon);
+        ++queries[r];
+        if (result.stats.filter_matches != result.matches.size() ||
+            result.stats.verify_abandons != 0) {
+          ++inconsistent[r];
+        }
+      }
+    });
+  }
+  bool writer_ok = true;
+  for (size_t m = 0; m < kSequences && writer_ok; ++m) {
+    const uint64_t id = live.BeginSequence();
+    writer_ok = id == m && live.AppendPoints(id, pattern(m).View()) &&
+                live.SealSequence(id) && live.Commit();
+    if (writer_ok && m % 100 == 99) writer_ok = live.Checkpoint();
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  ASSERT_TRUE(writer_ok);
+  for (size_t r = 0; r < kReaders; ++r) {
+    EXPECT_GT(queries[r], 0u) << "reader " << r;
+    EXPECT_EQ(inconsistent[r], 0u) << "reader " << r << " of " << queries[r];
+  }
+}
+
 TEST_F(IngestChurnTest, EngineServesQueriesWhileIngestBatchesLand) {
   Rng rng(99);
   std::vector<Sequence> corpus;

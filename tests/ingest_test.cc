@@ -6,12 +6,14 @@
 #include "ingest/live_database.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baseline/sequential_scan.h"
 #include "core/partitioning.h"
 #include "engine/introspection.h"
 #include "engine/query_engine.h"
@@ -216,6 +218,78 @@ TEST_F(LiveDatabaseTest, SearchVerifiedMatchesFreshDiskDatabase) {
                          "verified q" + std::to_string(q));
     }
   }
+}
+
+// The one verify stage behind every backend: memory, disk and live
+// SearchVerified agree bit for bit on exact distances and intervals, and
+// their ids and distances are SequentialScan's (the unbounded oracle).
+TEST_F(LiveDatabaseTest, VerifiedAgreesAcrossBackendsAndScan) {
+  Rng rng(557);
+  const std::vector<Sequence> corpus = MakeCorpus(40, 33, 20, 160);
+  ASSERT_TRUE(LiveDatabase::Create(live_, corpus[0].dim()));
+  LiveDatabase live(live_);
+  ASSERT_TRUE(live.valid());
+  for (size_t s = 0; s < corpus.size(); ++s) {
+    const uint64_t id = live.BeginSequence();
+    AppendChunked(&live, id, corpus[s], &rng, /*seal=*/s < 34);
+    if (s == 19) {
+      ASSERT_TRUE(live.Checkpoint());
+    }
+  }
+  ASSERT_TRUE(live.Commit());
+
+  SequenceDatabase memory(corpus[0].dim());
+  for (const Sequence& s : corpus) memory.Add(s);
+  ASSERT_TRUE(DiskDatabase::Save(memory, disk_));
+  DiskDatabase disk(disk_, /*pool_pages=*/64);
+  ASSERT_TRUE(disk.valid());
+  const SimilaritySearch search(&memory);
+  const SequentialScan scan(&memory);
+
+  size_t compared = 0;
+  for (int q = 0; q < 16; ++q) {
+    // Cuts of stored sequences (so some verify) and long queries (longer
+    // than most stored sequences, so Definition 3 slides the data side).
+    const Sequence& source = corpus[static_cast<size_t>(q) % corpus.size()];
+    const bool long_query = q % 4 == 3;
+    Sequence query = long_query
+                         ? GenerateFractalSequence(200, FractalOptions(), &rng)
+                         : Sequence(source.dim());
+    if (!long_query) {
+      const size_t length = std::min<size_t>(source.size(), 12 + q);
+      query.Extend(source.View().Slice(0, length));
+    }
+    for (double epsilon : {0.05, 0.2, 0.6}) {
+      const std::string context =
+          "q" + std::to_string(q) + " eps=" + std::to_string(epsilon);
+      const SearchResult mem = search.SearchVerified(query.View(), epsilon);
+      for (const auto& [name, other] :
+           {std::pair{"disk ", disk.SearchVerified(query.View(), epsilon)},
+            std::pair{"live ", live.SearchVerified(query.View(), epsilon)}}) {
+        ExpectResultsEqual(other, mem, name + context);
+        for (size_t i = 0;
+             i < std::min(other.matches.size(), mem.matches.size()); ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(other.matches[i].exact_distance),
+                    std::bit_cast<uint64_t>(mem.matches[i].exact_distance))
+              << name << context;
+        }
+      }
+      const std::vector<ScanMatch> truth = scan.Search(query.View(), epsilon);
+      ASSERT_EQ(mem.matches.size(), truth.size()) << context;
+      for (size_t i = 0; i < truth.size(); ++i) {
+        EXPECT_EQ(mem.matches[i].sequence_id, truth[i].sequence_id)
+            << context;
+        EXPECT_EQ(std::bit_cast<uint64_t>(mem.matches[i].exact_distance),
+                  std::bit_cast<uint64_t>(truth[i].distance))
+            << context;
+        EXPECT_EQ(mem.matches[i].solution_interval,
+                  truth[i].solution_interval)
+            << context;
+      }
+      compared += truth.size();
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 // After Checkpoint folds everything, the file IS a DiskDatabase.

@@ -4,15 +4,17 @@
 //   - the distinct-window sweep vs the per-`j` window enumeration,
 //   - the dense Phase-2 candidate aggregator vs a sort-based one,
 //   - batched range search vs one RangeSearch per probe,
-//   - threshold-aware window profile vs the unbounded one,
+//   - threshold-aware window profile (abandon + window-sum bound) vs the
+//     unbounded one,
 //   - the dispatched SIMD kernels (src/util/simd.h) vs their retained
 //     scalar references, across odd dimensionalities, odd lengths, and
 //     tail remainders that do not fill a vector lane.
 // The fast paths are only allowed to differ where the contract says so
 // (~1 ulp reassociation in partially-counted Dnorm windows; +inf for
-// provably-disqualified bounded-profile windows; bounded reassociation in
-// the blocked SIMD point-sum).
+// provably-disqualified (skipped or abandoned) bounded-profile windows;
+// bounded reassociation in the blocked SIMD point-sum).
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -736,6 +738,270 @@ TEST_P(SimdKernelTest, PointSumBoundedAbandonDecisionsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NativeAndForcedScalar, SimdKernelTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "ForcedScalar" : "Native";
+                         });
+
+// ---------------------------------------------------------------------------
+// Window-sum bound soundness. The oracle is the unbounded
+// `WindowDistanceProfile`, which shares no bound code: every window whose
+// unbounded mean is within epsilon must complete with the bit-identical
+// value, and every other window reports either +inf or that same value.
+// The cases aim at the bound's failure modes: windows exactly at epsilon,
+// windows whose difference vectors are parallel (the triangle inequality
+// is then tight, so rounding alone decides), and coordinate offsets where
+// the prefix sums cancel. Run under native and forced-scalar dispatch.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectBoundedSound(SequenceView query, SequenceView data, double epsilon,
+                        const std::string& context) {
+  const std::vector<double> ref = WindowDistanceProfile(query, data);
+  const std::vector<double> bounded =
+      WindowDistanceProfileBounded(query, data, epsilon);
+  ASSERT_EQ(bounded.size(), ref.size()) << context;
+  for (size_t j = 0; j < ref.size(); ++j) {
+    if (ref[j] <= epsilon) {
+      EXPECT_EQ(Bits(bounded[j]), Bits(ref[j]))
+          << context << " j=" << j << " ref=" << ref[j]
+          << " bounded=" << bounded[j] << " eps=" << epsilon;
+    } else if (!std::isinf(bounded[j])) {
+      EXPECT_EQ(Bits(bounded[j]), Bits(ref[j])) << context << " j=" << j;
+    }
+  }
+}
+
+// `length` points of `dim` coordinates, uniform in [offset, offset + 1).
+Sequence UniformSequence(size_t length, size_t dim, double offset, Rng* rng) {
+  Sequence out(dim);
+  Point p(dim);
+  for (size_t i = 0; i < length; ++i) {
+    for (size_t c = 0; c < dim; ++c) p[c] = offset + rng->Uniform();
+    out.Append(p);
+  }
+  return out;
+}
+
+// `data[begin, begin + k)` moved by `delta_i * direction` with delta_i > 0:
+// every difference vector of that window is parallel, so the window-sum
+// bound equals the window's exact point sum.
+Sequence ParallelShiftedCut(const Sequence& data, size_t begin, size_t k,
+                            Rng* rng) {
+  const size_t dim = data.dim();
+  Point direction(dim);
+  double norm2 = 0.0;
+  for (size_t c = 0; c < dim; ++c) {
+    direction[c] = rng->Uniform() - 0.5;
+    norm2 += direction[c] * direction[c];
+  }
+  if (norm2 == 0.0) direction[0] = 1.0;
+  Sequence out(dim);
+  Point p(dim);
+  for (size_t i = 0; i < k; ++i) {
+    const double delta = 0.01 + 0.05 * rng->Uniform();
+    for (size_t c = 0; c < dim; ++c) {
+      p[c] = data[begin + i][c] + delta * direction[c];
+    }
+    out.Append(p);
+  }
+  return out;
+}
+
+class WindowSumBoundTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override { simd::SetForceScalarForTesting(GetParam()); }
+  void TearDown() override { simd::ReinitFromEnvForTesting(); }
+};
+
+TEST_P(WindowSumBoundTest, SoundAcrossDimsOffsetsAndBoundaryThresholds) {
+  Rng rng(431);
+  for (size_t dim = 1; dim <= 8; ++dim) {
+    for (const double offset : {0.0, 1e3, 1e8}) {
+      for (int trial = 0; trial < 12; ++trial) {
+        const size_t n = static_cast<size_t>(rng.UniformInt(20, 160));
+        const size_t k = static_cast<size_t>(
+            rng.UniformInt(1, static_cast<int64_t>(n)));
+        const Sequence data = UniformSequence(n, dim, offset, &rng);
+        const size_t planted = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(n - k)));
+        const Sequence query = ParallelShiftedCut(data, planted, k, &rng);
+        const std::vector<double> ref =
+            WindowDistanceProfile(query.View(), data.View());
+        const std::string context = "dim=" + std::to_string(dim) +
+                                    " offset=" + std::to_string(offset) +
+                                    " n=" + std::to_string(n) +
+                                    " k=" + std::to_string(k);
+        // Thresholds exactly at the planted (tight-bound) window's mean,
+        // one ulp either side of it, at zero, and at profile quantiles.
+        std::vector<double> sorted = ref;
+        std::sort(sorted.begin(), sorted.end());
+        const double at = ref[planted];
+        for (const double epsilon :
+             {at, std::nextafter(at, 0.0), std::nextafter(at, 1e300), 0.0,
+              sorted[sorted.size() / 4], sorted[sorted.size() / 2]}) {
+          ExpectBoundedSound(query.View(), data.View(), epsilon, context);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(WindowSumBoundTest, ExactCopiesSurviveZeroEpsilon) {
+  // 1e307 overflows the prefix sums (and the magnitudes, so nothing skips).
+  Rng rng(432);
+  for (size_t dim = 1; dim <= 8; ++dim) {
+    for (const double offset : {0.0, 1e3, 1e8, 1e307}) {
+      const Sequence data = UniformSequence(90, dim, offset, &rng);
+      for (const size_t k : {1, 7, 40, 90}) {
+        const size_t begin = 90 - k;
+        const SequenceView query = data.Slice(begin, begin + k);
+        const std::vector<double> bounded =
+            WindowDistanceProfileBounded(query, data.View(), 0.0);
+        EXPECT_EQ(bounded[begin], 0.0)
+            << "dim=" << dim << " offset=" << offset << " k=" << k;
+        ExpectBoundedSound(query, data.View(), 0.0, "copy");
+      }
+    }
+  }
+}
+
+TEST_P(WindowSumBoundTest, MeanExactlyAtEpsilon) {
+  // Constant 0.5 data against a zero query: every window's mean is exactly
+  // 0.5 * sqrt(dim) (exact for dim 1 and 4), and its window-sum bound
+  // equals its point sum.
+  for (const size_t dim : {1, 4}) {
+    Sequence data(dim);
+    Sequence query(dim);
+    for (size_t i = 0; i < 64; ++i) data.Append(Point(dim, 0.5));
+    for (size_t i = 0; i < 16; ++i) query.Append(Point(dim, 0.0));
+    const double epsilon = 0.5 * std::sqrt(static_cast<double>(dim));
+    const std::vector<double> bounded =
+        WindowDistanceProfileBounded(query.View(), data.View(), epsilon);
+    for (size_t j = 0; j < bounded.size(); ++j) {
+      EXPECT_EQ(bounded[j], epsilon) << "dim=" << dim << " j=" << j;
+    }
+    ExpectBoundedSound(query.View(), data.View(), epsilon, "constant");
+    ExpectBoundedSound(query.View(), data.View(),
+                       std::nextafter(epsilon, 0.0), "constant-below");
+  }
+}
+
+TEST_P(WindowSumBoundTest, LongQueriesKeepDistanceAndIntervals) {
+  // Both orientations through the fused verify: it must equal the answer
+  // assembled from the unbounded profile, sliding the shorter side.
+  Rng rng(433);
+  for (size_t dim = 1; dim <= 8; ++dim) {
+    for (const double offset : {0.0, 1e3, 1e8}) {
+      const size_t long_length = static_cast<size_t>(rng.UniformInt(30, 120));
+      const size_t short_length = static_cast<size_t>(
+          rng.UniformInt(1, static_cast<int64_t>(long_length)));
+      const Sequence longer = UniformSequence(long_length, dim, offset, &rng);
+      const size_t planted = static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(long_length - short_length)));
+      const Sequence shorter =
+          ParallelShiftedCut(longer, planted, short_length, &rng);
+      const std::vector<double> ref =
+          WindowDistanceProfile(shorter.View(), longer.View());
+      const double best = *std::min_element(ref.begin(), ref.end());
+      for (const bool long_query : {false, true}) {
+        const SequenceView query = long_query ? longer.View() : shorter.View();
+        const SequenceView data = long_query ? shorter.View() : longer.View();
+        for (const double epsilon :
+             {best, std::nextafter(best, 0.0), ref[planted], 0.0}) {
+          std::vector<Interval> want;
+          if (long_query) {
+            if (best <= epsilon) want.push_back(Interval{0, data.size()});
+          } else {
+            for (size_t j = 0; j < ref.size(); ++j) {
+              if (ref[j] <= epsilon) {
+                want.push_back(Interval{j, j + short_length});
+              }
+            }
+            MergeIntervals(&want);
+          }
+          double exact = 0.0;
+          std::vector<Interval> got;
+          const bool qualifies =
+              internal::VerifySequence(query, data, epsilon, &exact, &got);
+          const std::string context =
+              "dim=" + std::to_string(dim) +
+              " long_query=" + std::to_string(long_query) +
+              " eps=" + std::to_string(epsilon);
+          EXPECT_EQ(qualifies, best <= epsilon) << context;
+          if (best <= epsilon) {
+            EXPECT_EQ(Bits(exact), Bits(best)) << context;
+            EXPECT_EQ(Bits(SequenceDistanceBounded(query, data, epsilon)),
+                      Bits(best))
+                << context;
+          } else {
+            EXPECT_TRUE(std::isinf(exact)) << context;
+          }
+          EXPECT_EQ(got, want) << context;
+          EXPECT_EQ(ExactSolutionInterval(query, data, epsilon), want)
+              << context;
+        }
+      }
+    }
+  }
+}
+
+// The kernel as it was before the window-sum bound: abandon-only, same
+// abandon threshold. Non-finite inputs must take exactly this path.
+std::vector<double> AbandonOnlyProfile(SequenceView query, SequenceView data,
+                                       double epsilon) {
+  const size_t k = query.size();
+  const size_t dim = query.dim();
+  const double points = static_cast<double>(k);
+  const double bound = epsilon * points * (1.0 + 1e-12) + 1e-280;
+  std::vector<double> profile(data.size() - k + 1,
+                              std::numeric_limits<double>::infinity());
+  for (size_t j = 0; j < profile.size(); ++j) {
+    bool abandoned = false;
+    const double sum = simd::PointSumBounded(
+        query[0].data(), data[0].data() + j * dim, k, dim, bound, &abandoned);
+    if (!abandoned) profile[j] = sum / points;
+  }
+  return profile;
+}
+
+TEST_P(WindowSumBoundTest, NonFiniteCoordinatesNeverSkip) {
+  Rng rng(434);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const size_t dim : {1, 3, 4}) {
+    for (const double bad : {nan, inf, -inf}) {
+      for (const bool in_query : {false, true}) {
+        Sequence data = UniformSequence(60, dim, 0.0, &rng);
+        Sequence query = UniformSequence(12, dim, 3.0, &rng);
+        // One poisoned coordinate, far from most windows it would skip.
+        Sequence& target = in_query ? query : data;
+        std::vector<double> raw = target.data();
+        raw[(in_query ? 5 : 41) * dim + dim - 1] = bad;
+        Sequence poisoned(dim);
+        for (size_t i = 0; i < target.size(); ++i) {
+          poisoned.Append(PointView(raw.data() + i * dim, dim));
+        }
+        target = std::move(poisoned);
+        for (const double epsilon : {0.0, 0.1, 1.0, 10.0}) {
+          const std::vector<double> want =
+              AbandonOnlyProfile(query.View(), data.View(), epsilon);
+          const std::vector<double> got =
+              WindowDistanceProfileBounded(query.View(), data.View(), epsilon);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t j = 0; j < got.size(); ++j) {
+            EXPECT_EQ(Bits(got[j]), Bits(want[j]))
+                << "dim=" << dim << " bad=" << bad << " in_query=" << in_query
+                << " eps=" << epsilon << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NativeAndForcedScalar, WindowSumBoundTest,
                          ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "ForcedScalar" : "Native";

@@ -232,6 +232,21 @@ TEST(ShardCodecTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded.stats.verify_ns, 9999u);
 }
 
+TEST(ShardCodecTest, EmptyQueryRoundTrip) {
+  // A status request carries no query points: its `Doubles` field is empty,
+  // which must decode without touching the (null) empty-vector buffer.
+  ShardRequest request;
+  request.rpc = ShardRpc::kStatus;
+  request.query = Sequence(3);
+
+  ShardRequest decoded;
+  ASSERT_TRUE(DecodeShardRequest(EncodeShardRequest(request), &decoded));
+  EXPECT_EQ(decoded.rpc, ShardRpc::kStatus);
+  EXPECT_EQ(decoded.query.size(), 0u);
+  EXPECT_EQ(decoded.query.dim(), 3u);
+  EXPECT_TRUE(decoded.ids.empty());
+}
+
 TEST(ShardCodecTest, TruncatedAndCorruptPayloadsFailCleanly) {
   ShardRequest request;
   request.rpc = ShardRpc::kSearch;

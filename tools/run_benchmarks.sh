@@ -14,6 +14,10 @@
 #                            proxy),
 #   - profile_speedup_*:     unbounded vs threshold-aware window profile on
 #                            non-qualifying candidates,
+#   - verify_speedup:        unbounded window profile vs the fused bounded
+#                            verify (internal::VerifySequence) on queries
+#                            cut from one synthetic sequence and checked
+#                            against the other sequences of a small corpus,
 #   - simd_speedup_*:        scalar vs dispatched SIMD kernels (Dmbr
 #                            MINDIST batch, window point-sum, prefilter
 #                            centroid batch) at dim 4; `simd_level` records
@@ -78,7 +82,8 @@ trap 'rm -rf "$tmp"' EXIT
 "$BUILD_DIR/bench/micro_rtree" --json \
   --benchmark_filter='MultiProbe|MinDist2Kernel' >"$tmp/rtree.json"
 "$BUILD_DIR/bench/micro_distance" --json \
-  --benchmark_filter='WindowProfile_|PointSumKernel' >"$tmp/distance.json"
+  --benchmark_filter='WindowProfile_|VerifyPopulation|PointSumKernel' \
+  >"$tmp/distance.json"
 
 jq -s '
   def bench(n): (map(.benchmarks[] | select(.name == n)) | first);
@@ -108,6 +113,9 @@ jq -s '
       profile_speedup_256:
         (bench("BM_WindowProfile_Unbounded/256").real_time /
          bench("BM_WindowProfile_Bounded/256").real_time),
+      verify_speedup:
+        (bench("BM_VerifyPopulation_Unbounded").real_time /
+         bench("BM_VerifyPopulation_Fused").real_time),
       simd_level: bench("BM_MinDist2Kernel_Simd/1024").simd_level,
       simd_speedup_mindist2_256:
         (bench("BM_MinDist2Kernel_Scalar/256").real_time /
