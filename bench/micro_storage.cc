@@ -142,7 +142,7 @@ void BM_SequenceStoreRead(benchmark::State& state) {
   PageFile file;
   file.Open(path);
   BufferPool pool(&file, static_cast<size_t>(state.range(0)));
-  SequenceStore store(&pool, file);
+  SequenceStore store(&pool, file, 3);
   Rng rng(4);
   for (auto _ : state) {
     const size_t id = static_cast<size_t>(rng.UniformInt(0, 99));

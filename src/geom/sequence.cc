@@ -1,5 +1,7 @@
 #include "geom/sequence.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace mdseq {
@@ -9,6 +11,12 @@ Sequence::Sequence(size_t dim) : dim_(dim) { MDSEQ_CHECK(dim > 0); }
 Sequence::Sequence(size_t dim, std::initializer_list<Point> points)
     : Sequence(dim) {
   for (const Point& p : points) Append(p);
+}
+
+Sequence::Sequence(size_t dim, std::vector<double> data)
+    : dim_(dim), data_(std::move(data)) {
+  MDSEQ_CHECK(dim > 0);
+  MDSEQ_CHECK(data_.size() % dim == 0);
 }
 
 Sequence Sequence::FromScalars(const std::vector<double>& values) {

@@ -29,6 +29,10 @@ class Sequence {
   /// Creates a sequence from a list of equally sized points.
   Sequence(size_t dim, std::initializer_list<Point> points);
 
+  /// Creates a sequence over `data`, `dim` doubles per point row-major;
+  /// `data.size()` must be a multiple of `dim`.
+  Sequence(size_t dim, std::vector<double> data);
+
   /// Creates a 1-dimensional sequence from scalar values.
   static Sequence FromScalars(const std::vector<double>& values);
 

@@ -126,7 +126,8 @@ LiveDatabase::LiveDatabase(const std::string& path,
 
   auto base = std::make_shared<BaseState>();
   base->store =
-      std::make_unique<SequenceStore>(pool_.get(), layout.store_meta_page);
+      std::make_unique<SequenceStore>(pool_.get(), layout.store_meta_page,
+                                      dim_);
   if (!base->store->valid() ||
       base->store->size() != layout.sequence_count) {
     return;
@@ -520,7 +521,7 @@ bool LiveDatabase::Checkpoint() {
 
   // Swap in the new base and drop the folded pending sequences.
   auto base = std::make_shared<BaseState>();
-  base->store = std::make_unique<SequenceStore>(pool_.get(), store_meta);
+  base->store = std::make_unique<SequenceStore>(pool_.get(), store_meta, dim_);
   if (!base->store->valid()) return false;
   base->lengths.reserve(partitions.size());
   for (const Partition& partition : partitions) {

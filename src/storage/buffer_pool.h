@@ -74,12 +74,13 @@ class PageHandle {
 /// compares their miss rates.
 ///
 /// Thread-safe: pin/unpin/flush and the replacement bookkeeping are
-/// serialized by one internal latch (page reads from the file happen under
-/// it too — the single `PageFile` seek/read pair is not reentrant), and the
-/// statistics counters are atomic. Reading the *contents* of a pinned page
-/// through a `PageHandle` is lock-free; concurrent readers may share a
-/// pinned frame. Writers (`MarkDirty` + mutation of the same page) still
-/// need external coordination — the query engine only ever reads.
+/// serialized by one internal latch, and the statistics counters are
+/// atomic. A miss reads its page from the file under the latch so no other
+/// thread sees the frame half-loaded; the file itself needs no latch (its
+/// I/O is positioned, with no shared offset). Reading the *contents* of a
+/// pinned page through a `PageHandle` is lock-free; concurrent readers may
+/// share a pinned frame. Writers (`MarkDirty` + mutation of the same page)
+/// still need external coordination — the query engine only ever reads.
 /// The pool must outlive all its handles.
 class BufferPool {
  public:
@@ -107,6 +108,9 @@ class BufferPool {
   bool Flush();
 
   size_t capacity() const { return frames_.size(); }
+
+  /// The file the pool caches.
+  PageFile* file() const { return file_; }
 
   /// Consistent occupancy snapshot for health probes; takes the latch.
   BufferPoolHealth Health() const;
@@ -148,8 +152,8 @@ class BufferPool {
   PageFile* file_;
   Policy policy_;
   /// Serializes all pool state (frames' metadata, table, LRU/clock) and the
-  /// underlying file I/O. Page *contents* of pinned frames are read outside
-  /// the latch.
+  /// loading of missed pages. Page *contents* of pinned frames are read
+  /// outside the latch.
   mutable std::mutex mutex_;
   size_t clock_hand_ = 0;
   std::vector<Frame> frames_;

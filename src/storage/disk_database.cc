@@ -113,7 +113,7 @@ DiskDatabase::DiskDatabase(const std::string& path, size_t pool_pages,
       static_cast<PartitioningOptions::CostModel>(layout.cost_model);
 
   store_ = std::make_unique<SequenceStore>(pool_.get(),
-                                           layout.store_meta_page);
+                                           layout.store_meta_page, dim_);
   if (!store_->valid() || store_->size() != layout.sequence_count) return;
 
   tree_ = std::make_unique<PagedRTree>(dim_, pool_.get(),

@@ -19,13 +19,15 @@ namespace mdseq {
 /// raw sequences (SequenceStore), the subsequence MBR index (PagedRTree),
 /// the per-sequence partitions, and the partitioning options. Queries run
 /// the same three-phase algorithm as `SimilaritySearch` but every index
-/// node and every sequence byte is fetched through an LRU buffer pool — so
-/// query cost is observable in page misses, the unit the paper's cost model
-/// (and its 1999 hardware) was about.
+/// node is fetched through an LRU buffer pool — so the filter's cost is
+/// observable in page misses, the unit the paper's cost model (and its
+/// 1999 hardware) was about. Verification reads each matching sequence
+/// with one positioned read off the pool (`SequenceStore::Read`), counted
+/// in the file's page reads and in `SearchStats::bytes_read`.
 ///
 /// Partitions and their MBRs are small metadata (a few bytes per
 /// subsequence) and are cached in memory at open, mirroring real systems
-/// that keep catalogs resident while data and index pages are demand-paged.
+/// that keep catalogs resident while index pages are demand-paged.
 class DiskDatabase {
  public:
   /// Serializes an in-memory database to `path`. Returns false on I/O
@@ -55,16 +57,16 @@ class DiskDatabase {
                       const SearchControl& control) const;
 
   /// Filter plus refinement: matches are verified against the stored
-  /// sequences, read through the buffer pool. Same semantics as
+  /// sequences, one positioned read each. Same semantics as
   /// `SimilaritySearch::SearchVerified`.
   SearchResult SearchVerified(SequenceView query, double epsilon) const;
   SearchResult SearchVerified(SequenceView query, double epsilon,
                               const SearchControl& control) const;
 
-  /// Reads one sequence from disk (paged).
+  /// Reads one sequence from disk (one positioned read, off the pool).
   std::optional<Sequence> ReadSequence(size_t id) const;
 
-  /// Buffer pool statistics (shared by index and data accesses).
+  /// Buffer pool statistics (index, master and catalog pages).
   const BufferPool& pool() const { return *pool_; }
   BufferPool* mutable_pool() { return pool_.get(); }
 

@@ -1,12 +1,11 @@
 #include "storage/page_file.h"
 
+#include <cerrno>
 #include <cstring>
 
-#if defined(_WIN32)
-#include <io.h>
-#else
+#include <fcntl.h>
+#include <sys/types.h>
 #include <unistd.h>
-#endif
 
 #include "util/check.h"
 
@@ -27,14 +26,47 @@ struct HeaderLayout {
 };
 static_assert(sizeof(HeaderLayout) <= kPageSize);
 
+// Byte offset of data page `id` (page 0 of the file is the header).
+off_t PageOffset(PageId id) {
+  return static_cast<off_t>(id + uint64_t{1}) * static_cast<off_t>(kPageSize);
+}
+
+// Full-length pread/pwrite: retries short transfers and EINTR. A read that
+// reaches end of file is a failure.
+bool ReadFully(int fd, void* bytes, size_t count, off_t offset) {
+  uint8_t* at = static_cast<uint8_t*>(bytes);
+  while (count > 0) {
+    const ssize_t n = ::pread(fd, at, count, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    at += n;
+    count -= static_cast<size_t>(n);
+    offset += n;
+  }
+  return true;
+}
+
+bool WriteFully(int fd, const void* bytes, size_t count, off_t offset) {
+  const uint8_t* at = static_cast<const uint8_t*>(bytes);
+  while (count > 0) {
+    const ssize_t n = ::pwrite(fd, at, count, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    at += n;
+    count -= static_cast<size_t>(n);
+    offset += n;
+  }
+  return true;
+}
+
 }  // namespace
 
 PageFile::~PageFile() { Close(); }
 
 bool PageFile::Create(const std::string& path) {
   Close();
-  file_ = std::fopen(path.c_str(), "wb+");
-  if (file_ == nullptr) return false;
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd_ < 0) return false;
   page_count_.store(0, std::memory_order_relaxed);
   root_hint_ = kInvalidPageId;
   reads_.store(0, std::memory_order_relaxed);
@@ -45,8 +77,8 @@ bool PageFile::Create(const std::string& path) {
 
 bool PageFile::Open(const std::string& path) {
   Close();
-  file_ = std::fopen(path.c_str(), "rb+");
-  if (file_ == nullptr) return false;
+  fd_ = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd_ < 0) return false;
   if (!ReadHeader()) {
     Close();
     return false;
@@ -55,15 +87,15 @@ bool PageFile::Open(const std::string& path) {
 }
 
 void PageFile::Close() {
-  if (file_ != nullptr) {
+  if (fd_ >= 0) {
     WriteHeader();
-    std::fclose(file_);
-    file_ = nullptr;
+    ::close(fd_);
+    fd_ = -1;
   }
 }
 
 bool PageFile::WriteHeader() {
-  if (file_ == nullptr) return false;
+  if (fd_ < 0) return false;
   Page header;
   std::memset(header.data, 0, kPageSize);
   HeaderLayout layout;
@@ -72,19 +104,12 @@ bool PageFile::WriteHeader() {
   layout.page_count = page_count_.load(std::memory_order_relaxed);
   layout.root_hint = root_hint_;
   std::memcpy(header.data, &layout, sizeof(layout));
-  if (std::fseek(file_, 0, SEEK_SET) != 0) return false;
-  if (std::fwrite(header.data, 1, kPageSize, file_) != kPageSize) {
-    return false;
-  }
-  return std::fflush(file_) == 0;
+  return WriteFully(fd_, header.data, kPageSize, 0);
 }
 
 bool PageFile::ReadHeader() {
   Page header;
-  if (std::fseek(file_, 0, SEEK_SET) != 0) return false;
-  if (std::fread(header.data, 1, kPageSize, file_) != kPageSize) {
-    return false;
-  }
+  if (!ReadFully(fd_, header.data, kPageSize, 0)) return false;
   HeaderLayout layout;
   std::memcpy(&layout, header.data, sizeof(layout));
   if (std::memcmp(layout.magic, kMagic, sizeof(kMagic)) != 0) return false;
@@ -95,7 +120,7 @@ bool PageFile::ReadHeader() {
 }
 
 PageId PageFile::Allocate() {
-  if (file_ == nullptr) return kInvalidPageId;
+  if (fd_ < 0) return kInvalidPageId;
   const PageId id = page_count_.load(std::memory_order_relaxed);
   Page zero;
   std::memset(zero.data, 0, kPageSize);
@@ -110,41 +135,42 @@ PageId PageFile::Allocate() {
 
 bool PageFile::Read(PageId id, Page* page) {
   MDSEQ_CHECK(page != nullptr);
-  if (file_ == nullptr || id >= page_count_.load(std::memory_order_relaxed)) {
+  return ReadRange(id, 0, page->data, kPageSize);
+}
+
+bool PageFile::ReadRange(PageId first_page, uint64_t offset, void* bytes,
+                         size_t count) {
+  MDSEQ_CHECK(bytes != nullptr || count == 0);
+  if (fd_ < 0) return false;
+  if (count == 0) return true;
+  // Every page the range touches must be allocated; the arithmetic stays
+  // in 64 bits so a hostile offset cannot wrap into range.
+  const uint64_t pages = page_count_.load(std::memory_order_relaxed);
+  if (first_page >= pages) return false;
+  const uint64_t limit = (pages - first_page) * kPageSize;
+  if (offset > limit || count > limit - offset) return false;
+  if (!ReadFully(fd_, bytes, count,
+                 PageOffset(first_page) + static_cast<off_t>(offset))) {
     return false;
   }
-  const long offset = static_cast<long>((id + 1)) *
-                      static_cast<long>(kPageSize);
-  if (std::fseek(file_, offset, SEEK_SET) != 0) return false;
-  if (std::fread(page->data, 1, kPageSize, file_) != kPageSize) {
-    return false;
-  }
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t covered =
+      (offset + count - 1) / kPageSize - offset / kPageSize + 1;
+  reads_.fetch_add(covered, std::memory_order_relaxed);
   return true;
 }
 
 bool PageFile::Write(PageId id, const Page& page) {
-  if (file_ == nullptr || id >= page_count_.load(std::memory_order_relaxed)) {
+  if (fd_ < 0 || id >= page_count_.load(std::memory_order_relaxed)) {
     return false;
   }
-  const long offset = static_cast<long>((id + 1)) *
-                      static_cast<long>(kPageSize);
-  if (std::fseek(file_, offset, SEEK_SET) != 0) return false;
-  if (std::fwrite(page.data, 1, kPageSize, file_) != kPageSize) {
-    return false;
-  }
+  if (!WriteFully(fd_, page.data, kPageSize, PageOffset(id))) return false;
   writes_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 bool PageFile::Sync() {
-  if (file_ == nullptr) return false;
-  if (std::fflush(file_) != 0) return false;
-#if defined(_WIN32)
-  if (_commit(_fileno(file_)) != 0) return false;
-#else
-  if (::fsync(fileno(file_)) != 0) return false;
-#endif
+  if (fd_ < 0) return false;
+  if (::fsync(fd_) != 0) return false;
   syncs_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }

@@ -2,10 +2,9 @@
 #define MDSEQ_STORAGE_PAGE_FILE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <string>
-#include <vector>
 
 namespace mdseq {
 
@@ -22,10 +21,16 @@ struct Page {
   uint8_t data[kPageSize];
 };
 
-/// File-backed page store with a small self-describing header. All I/O is
-/// page-granular; failures are reported through return values (no
-/// exceptions). Not thread-safe, except that the lifetime I/O counters
-/// may be read concurrently with I/O (they feed the /metrics gauges).
+/// File-backed page store with a small self-describing header. Writes are
+/// page-granular; reads are a page or a contiguous byte range of a page
+/// region. Failures are reported through return values (no exceptions).
+///
+/// All I/O is positioned (`pread`/`pwrite` on one descriptor; POSIX only),
+/// so there is no shared file offset: reads of allocated pages may run
+/// concurrently with each other and with one thread that allocates and
+/// writes other pages (a live checkpoint beside queries). Opening,
+/// closing and `set_root_hint` are single-threaded. The lifetime I/O
+/// counters may be read from any thread (they feed the /metrics gauges).
 ///
 /// File layout: page 0 is the header (magic, version, page count, root
 /// page hint for whatever structure lives in the file); data pages follow.
@@ -46,7 +51,7 @@ class PageFile {
   /// Flushes and closes; safe to call twice.
   void Close();
 
-  bool is_open() const { return file_ != nullptr; }
+  bool is_open() const { return fd_ >= 0; }
 
   /// Allocates a fresh zeroed page at the end of the file; returns its id
   /// or kInvalidPageId on failure.
@@ -56,12 +61,19 @@ class PageFile {
   /// out-of-range id.
   bool Read(PageId id, Page* page);
 
+  /// Reads `count` bytes starting `offset` bytes into the page region
+  /// that begins at `first_page`, with one positioned read. Returns false
+  /// on I/O failure or when the range reaches past `page_count()`. Counts
+  /// every page the range covers in `reads()`.
+  bool ReadRange(PageId first_page, uint64_t offset, void* bytes,
+                 size_t count);
+
   /// Writes `page` to page `id` (must have been allocated).
   bool Write(PageId id, const Page& page);
 
-  /// Durability barrier: flushes stdio buffers and fsyncs the file so every
-  /// completed Write() is on stable storage. Does NOT write the header —
-  /// `set_root_hint` stays the single commit point for structural changes.
+  /// Durability barrier: fsyncs the file so every completed Write() is on
+  /// stable storage. Does NOT write the header — `set_root_hint` stays the
+  /// single commit point for structural changes.
   bool Sync();
 
   /// Number of data pages allocated. Like the I/O counters, safe to read
@@ -75,7 +87,8 @@ class PageFile {
   PageId root_hint() const { return root_hint_; }
   bool set_root_hint(PageId id);
 
-  /// Lifetime I/O counters (real pread/pwrite operations). Safe to read
+  /// Lifetime I/O counters in pages read from / written to the file
+  /// (`ReadRange` counts the pages its byte range covers). Safe to read
   /// from any thread while another thread performs I/O.
   uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
   uint64_t writes() const { return writes_.load(std::memory_order_relaxed); }
@@ -87,7 +100,7 @@ class PageFile {
   bool WriteHeader();
   bool ReadHeader();
 
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   std::atomic<uint32_t> page_count_{0};
   PageId root_hint_ = kInvalidPageId;
   std::atomic<uint64_t> reads_{0};

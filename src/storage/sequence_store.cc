@@ -1,6 +1,7 @@
 #include "storage/sequence_store.h"
 
 #include <cstring>
+#include <utility>
 
 #include "storage/page_stream.h"
 #include "util/check.h"
@@ -72,22 +73,40 @@ bool SequenceStore::Write(const std::vector<Sequence>& corpus,
   return meta_page != kInvalidPageId && file->set_root_hint(meta_page);
 }
 
-SequenceStore::SequenceStore(BufferPool* pool, PageId meta_page)
-    : pool_(pool) {
+SequenceStore::SequenceStore(BufferPool* pool, PageId meta_page, size_t dim) {
   MDSEQ_CHECK(pool != nullptr);
+  MDSEQ_CHECK(dim > 0);
+  file_ = pool->file();
   if (meta_page == kInvalidPageId) return;
-  PageHandle meta = pool_->Fetch(meta_page);
+  PageHandle meta = pool->Fetch(meta_page);
   if (!meta.valid()) return;
   MetaLayout layout;
   std::memcpy(&layout, meta.page().data, sizeof(layout));
   meta.Release();
 
+  // The directory must fit its region, so a hostile count cannot size an
+  // allocation beyond the directory pages.
+  if (layout.count > uint64_t{layout.dir_page_count} * kPageSize /
+                         sizeof(DirectoryEntry)) {
+    return;
+  }
   data_first_page_ = layout.data_first_page;
   directory_.resize(layout.count);
   if (layout.count > 0) {
-    PageStreamReader reader(pool_, layout.dir_first_page, 0);
+    PageStreamReader reader(pool, layout.dir_first_page, 0);
     if (!reader.Read(directory_.data(),
                      directory_.size() * sizeof(DirectoryEntry))) {
+      directory_.clear();
+      return;
+    }
+  }
+  // Every record must be `dim`-dimensional and lie inside the data region.
+  const uint64_t data_bytes = uint64_t{layout.data_page_count} * kPageSize;
+  const uint64_t max_points = data_bytes / sizeof(double) / dim;
+  for (const DirectoryEntry& entry : directory_) {
+    if (entry.dim != dim || entry.length > max_points ||
+        entry.offset > data_bytes ||
+        entry.length * dim * sizeof(double) > data_bytes - entry.offset) {
       directory_.clear();
       return;
     }
@@ -99,18 +118,13 @@ std::optional<Sequence> SequenceStore::Read(size_t id) const {
   MDSEQ_CHECK(valid_);
   MDSEQ_CHECK(id < directory_.size());
   const DirectoryEntry& entry = directory_[id];
-  Sequence sequence(static_cast<size_t>(entry.dim));
-  std::vector<double> data(entry.dim * entry.length);
-  PageStreamReader reader(pool_, data_first_page_, entry.offset);
-  if (!data.empty() &&
-      !reader.Read(data.data(), data.size() * sizeof(double))) {
+  const size_t dim = static_cast<size_t>(entry.dim);
+  std::vector<double> data(dim * static_cast<size_t>(entry.length));
+  if (!file_->ReadRange(data_first_page_, entry.offset, data.data(),
+                        data.size() * sizeof(double))) {
     return std::nullopt;
   }
-  for (uint64_t i = 0; i < entry.length; ++i) {
-    sequence.Append(PointView(data.data() + i * entry.dim,
-                              static_cast<size_t>(entry.dim)));
-  }
-  return sequence;
+  return Sequence(dim, std::move(data));
 }
 
 }  // namespace mdseq

@@ -11,11 +11,13 @@
 
 namespace mdseq {
 
-/// Disk-resident storage for the raw sequences themselves, so that the
-/// refinement step (exact distances, solution-interval reporting) can be
-/// charged in page reads just like the index traversal. Records are
-/// variable-length and span pages freely; a directory maps sequence ids to
-/// byte offsets.
+/// Disk-resident storage for the raw sequences themselves, read by the
+/// refinement step (exact distances, solution-interval reporting). Records
+/// are variable-length and span pages freely; a directory maps sequence ids
+/// to byte offsets. The meta page and the directory are read through the
+/// buffer pool at open; a record is one contiguous byte range, read with
+/// one positioned `PageFile::ReadRange` that bypasses the pool (so payload
+/// never evicts index pages) and is counted in `PageFile::reads()`.
 ///
 /// File layout (ids are `PageFile` pages):
 ///   header (PageFile) | meta page | data pages ... | directory pages ...
@@ -33,21 +35,25 @@ class SequenceStore {
   static PageId WriteInto(const std::vector<Sequence>& corpus,
                           PageFile* file);
 
-  /// Attaches to a store whose meta page is `meta_page`; loads the
-  /// directory through `pool`. The pool (and file) must outlive the store.
-  /// Check `valid()` afterwards.
-  SequenceStore(BufferPool* pool, PageId meta_page);
+  /// Attaches to a store of `dim`-dimensional sequences whose meta page is
+  /// `meta_page`; loads the directory through `pool`. The pool (and file)
+  /// must outlive the store. Check `valid()` afterwards: the file is
+  /// untrusted, so a directory entry of another dim, or one whose record
+  /// overflows or lies outside the data region, makes the store invalid.
+  SequenceStore(BufferPool* pool, PageId meta_page, size_t dim);
 
   /// Convenience: attaches using the file's root hint.
-  SequenceStore(BufferPool* pool, const PageFile& file)
-      : SequenceStore(pool, file.root_hint()) {}
+  SequenceStore(BufferPool* pool, const PageFile& file, size_t dim)
+      : SequenceStore(pool, file.root_hint(), dim) {}
 
   bool valid() const { return valid_; }
 
   /// Number of stored sequences.
   size_t size() const { return directory_.size(); }
 
-  /// Reads sequence `id` through the buffer pool; nullopt on I/O failure.
+  /// Reads sequence `id` with one positioned read of its record, off the
+  /// buffer pool; nullopt on I/O failure. Safe to call from any number of
+  /// threads.
   std::optional<Sequence> Read(size_t id) const;
 
  private:
@@ -57,7 +63,7 @@ class SequenceStore {
     uint64_t length;  ///< number of points
   };
 
-  BufferPool* pool_;
+  PageFile* file_ = nullptr;
   bool valid_ = false;
   PageId data_first_page_ = kInvalidPageId;
   std::vector<DirectoryEntry> directory_;

@@ -1,6 +1,8 @@
 #include "storage/disk_database.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,74 @@ TEST_F(DiskDatabaseTest, OpeningGarbageFileIsInvalid) {
   }
   DiskDatabase disk(path_, 8);
   EXPECT_FALSE(disk.valid());
+}
+
+// The sequence-store directory is untrusted input: an entry with the wrong
+// dim, a length whose byte size overflows, or a record outside the data
+// region must make the database invalid at open, not abort or allocate
+// `dim * length` doubles at the first read. The file is patched in place:
+// data page 1 (file offset 2 * kPageSize) is the store's meta page.
+TEST_F(DiskDatabaseTest, CorruptStoreDirectoryOpensInvalid) {
+  BuildAndSave(6, 7);
+  const auto read_at = [&](uint64_t offset, void* bytes, size_t count) {
+    std::FILE* f = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    ASSERT_EQ(std::fread(bytes, 1, count, f), count);
+    std::fclose(f);
+  };
+  const auto write_at = [&](uint64_t offset, const void* bytes,
+                            size_t count) {
+    std::FILE* f = std::fopen(path_.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(bytes, 1, count, f), count);
+    std::fclose(f);
+  };
+  // Store meta page: u64 count | u32 data_first | u32 data_pages |
+  // u32 dir_first | u32 dir_pages. Directory entry: u64 offset, dim, length.
+  uint32_t meta[6];
+  read_at(2 * kPageSize, meta, sizeof(meta));
+  const uint64_t data_bytes = uint64_t{meta[3]} * kPageSize;
+  const uint64_t directory = (uint64_t{meta[4]} + 1) * kPageSize;
+  std::vector<uint8_t> original(6 * 3 * sizeof(uint64_t));
+  read_at(directory, original.data(), original.size());
+  {
+    DiskDatabase intact(path_, 64);
+    ASSERT_TRUE(intact.valid());
+  }
+
+  struct Corruption {
+    const char* what;
+    size_t entry;
+    size_t field;  // 0 offset, 1 dim, 2 length
+    uint64_t value;
+  };
+  const Corruption corruptions[] = {
+      {"dim 4 in a 3-d database", 2, 1, 4},
+      {"dim 0", 0, 1, 0},
+      {"length*dim*8 overflows", 3, 2, uint64_t{1} << 62},
+      {"length past the data region", 1, 2, uint64_t{1} << 28},
+      {"offset past the data region", 5, 0, data_bytes + 8},
+      {"record ends past the data region", 5, 0, data_bytes - 8},
+      {"offset + bytes wraps", 4, 0, ~uint64_t{0} - 16},
+  };
+  for (const Corruption& c : corruptions) {
+    write_at(directory, original.data(), original.size());
+    write_at(directory + (c.entry * 3 + c.field) * sizeof(uint64_t),
+             &c.value, sizeof(c.value));
+    DiskDatabase disk(path_, 64);
+    EXPECT_FALSE(disk.valid()) << c.what;
+  }
+  // Flipping every bit of each entry's high byte: huge offsets, dims and
+  // lengths.
+  for (size_t byte = 7; byte < original.size(); byte += 8) {
+    write_at(directory, original.data(), original.size());
+    const uint8_t flipped = static_cast<uint8_t>(original[byte] ^ 0xff);
+    write_at(directory + byte, &flipped, 1);
+    DiskDatabase disk(path_, 64);
+    EXPECT_FALSE(disk.valid()) << "byte " << byte;
+  }
 }
 
 TEST_F(DiskDatabaseTest, CompositeOptionAppliesOnDiskToo) {

@@ -6,11 +6,13 @@
 // failure means a real regression, not timer noise. Meant to run on an
 // optimized build (the `release` CMake preset); the relative comparisons
 // also hold unoptimized, only with more noise.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,6 +44,27 @@ int64_t TimeNs(Fn&& fn) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                               start)
       .count();
+}
+
+// Interleaved best-of-N timing for the on/off serving-overhead bounds:
+// `run(false)` and `run(true)` alternate `kBestOf` times after one
+// warm-up, and the fastest sample of each side is returned as
+// {off, on}. A ~2 ms sample under a parallel test run can catch a
+// scheduler stall on either side; the minimum of several interleaved
+// samples keeps the stall out of the comparison without widening the
+// bound.
+constexpr int kBestOf = 7;
+
+template <typename Fn>
+std::pair<int64_t, int64_t> BestOfInterleaved(Fn&& run) {
+  run(false);  // warm-up: page in the code and the database
+  int64_t best_off = INT64_MAX;
+  int64_t best_on = INT64_MAX;
+  for (int i = 0; i < kBestOf; ++i) {
+    best_off = std::min(best_off, run(false));
+    best_on = std::min(best_on, run(true));
+  }
+  return {best_off, best_on};
 }
 
 // Many small MBRs: the worst case for the naive O(m^2)-per-(probe, j)
@@ -218,12 +241,12 @@ TEST(PerfSmokeTest, IdleIntrospectionServerDoesNotSlowServing) {
   QueryOptions query_options;
   query_options.epsilon = 0.1;
 
-  const auto run_batches = [&](int listen_port) {
+  const auto run_batches = [&](bool with_server) {
     EngineOptions options;
     options.num_threads = 2;
-    options.listen_port = listen_port;
+    options.listen_port = with_server ? 0 : -1;
     QueryEngine engine(workload.database.get(), options);
-    if (listen_port >= 0) {
+    if (with_server) {
       EXPECT_GT(engine.introspection_port(), 0);
     }
     return TimeNs([&] {
@@ -236,9 +259,7 @@ TEST(PerfSmokeTest, IdleIntrospectionServerDoesNotSlowServing) {
     });
   };
 
-  run_batches(-1);  // warm-up: page in the code and the database
-  const int64_t without_server = run_batches(-1);
-  const int64_t with_server = run_batches(0);
+  const auto [without_server, with_server] = BestOfInterleaved(run_batches);
   EXPECT_LE(with_server, 2 * without_server)
       << "with=" << with_server << "ns without=" << without_server << "ns";
 }
@@ -276,9 +297,7 @@ TEST(PerfSmokeTest, WorkloadRecorderHasBoundedServingOverhead) {
     });
   };
 
-  run_batches(false);  // warm-up: page in the code and the database
-  const int64_t recorder_off = run_batches(false);
-  const int64_t recorder_on = run_batches(true);
+  const auto [recorder_off, recorder_on] = BestOfInterleaved(run_batches);
   std::remove(log_path.c_str());
   EXPECT_LE(recorder_on, 2 * recorder_off)
       << "on=" << recorder_on << "ns off=" << recorder_off << "ns";
@@ -322,9 +341,7 @@ TEST(PerfSmokeTest, QosDisabledServingPathHasBoundedOverhead) {
     });
   };
 
-  run_batches(false);  // warm-up: page in the code and the database
-  const int64_t disabled = run_batches(false);
-  const int64_t enabled_miss = run_batches(true);
+  const auto [disabled, enabled_miss] = BestOfInterleaved(run_batches);
   EXPECT_LE(enabled_miss, 2 * disabled)
       << "enabled=" << enabled_miss << "ns disabled=" << disabled << "ns";
 }
@@ -349,10 +366,11 @@ TEST(PerfSmokeTest, TraceDisabledShardingPathHasBoundedOverhead) {
   LoopbackTransport transport(set->nodes());
   const Coordinator coordinator(&transport, set->placement());
 
-  const auto run_rounds = [&](obs::Trace* trace) {
+  const auto run_rounds = [&](bool traced) {
+    obs::Trace trace;
     SearchControl control;
-    control.trace = trace;
-    return TimeNs([&] {
+    control.trace = traced ? &trace : nullptr;
+    const int64_t ns = TimeNs([&] {
       for (int round = 0; round < 3; ++round) {
         for (const Sequence& query : workload.queries) {
           const SearchResult result =
@@ -361,13 +379,11 @@ TEST(PerfSmokeTest, TraceDisabledShardingPathHasBoundedOverhead) {
         }
       }
     });
+    EXPECT_EQ(trace.spans().empty(), !traced);
+    return ns;
   };
 
-  run_rounds(nullptr);  // warm-up: page in the code and the shards
-  const int64_t untraced_ns = run_rounds(nullptr);
-  obs::Trace trace;
-  const int64_t traced_ns = run_rounds(&trace);
-  EXPECT_FALSE(trace.spans().empty());
+  const auto [untraced_ns, traced_ns] = BestOfInterleaved(run_rounds);
   EXPECT_LE(untraced_ns, 2 * traced_ns)
       << "untraced=" << untraced_ns << "ns traced=" << traced_ns << "ns";
 }

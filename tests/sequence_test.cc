@@ -1,5 +1,7 @@
 #include "geom/sequence.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "geom/point.h"
@@ -29,6 +31,17 @@ TEST(SequenceTest, InitializerListConstruction) {
   const Sequence s(2, {Point{0.0, 0.0}, Point{1.0, 1.0}, Point{2.0, 2.0}});
   EXPECT_EQ(s.size(), 3u);
   EXPECT_DOUBLE_EQ(s[2][1], 2.0);
+}
+
+TEST(SequenceTest, FlatDataConstructionMatchesAppends) {
+  const Sequence flat(2, std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
+  Sequence appended(2);
+  appended.Append(Point{0.1, 0.2});
+  appended.Append(Point{0.3, 0.4});
+  appended.Append(Point{0.5, 0.6});
+  EXPECT_EQ(flat.size(), 3u);
+  EXPECT_EQ(flat.data(), appended.data());
+  EXPECT_TRUE(Sequence(3, std::vector<double>()).empty());
 }
 
 TEST(SequenceTest, FromScalarsBuildsOneDimensional) {

@@ -408,6 +408,7 @@ int RunQueryDb(const Flags& flags) {
   const size_t max_rows = flags.GetSize("max_rows", 20);
 
   database.mutable_pool()->ResetStats();
+  const uint64_t file_reads_before = database.file().reads();
   const SearchResult result =
       filter_only ? database.Search(query->View(), epsilon)
                   : database.SearchVerified(query->View(), epsilon);
@@ -420,9 +421,15 @@ int RunQueryDb(const Flags& flags) {
   for (size_t i = 0; i < result.matches.size() && i < max_rows; ++i) {
     PrintMatch(result.matches[i], !filter_only);
   }
-  std::printf("page I/O: %llu misses (real reads), %llu pool hits\n",
-              static_cast<unsigned long long>(database.pool().misses()),
-              static_cast<unsigned long long>(database.pool().hits()));
+  // Index pages go through the pool; verified sequences are read off it,
+  // so the file's page reads are pool misses plus sequence pages.
+  const uint64_t misses = database.pool().misses();
+  std::printf("page I/O: %llu index misses (real reads), %llu pool hits, "
+              "%llu sequence pages read\n",
+              static_cast<unsigned long long>(misses),
+              static_cast<unsigned long long>(database.pool().hits()),
+              static_cast<unsigned long long>(database.file().reads() -
+                                              file_reads_before - misses));
   return 0;
 }
 
